@@ -14,14 +14,19 @@ import sys
 import numpy as np
 
 from .errors import BudgetExceeded, UnionFitError
-from .experiment import load_config, run_experiment
+from .experiment import (
+    ROW_FIELDS,
+    ReductionConfig,
+    load_config,
+    run_experiment,
+    run_trial,
+)
 from .io import ground_truth_to_dict, load_dataset, save_dataset
-from .model import normalize_dataset
+from .model import SEED_MASK, normalize_dataset
 from .pipeline import (
     SolverConfig,
     eta_admissibility_epsilon,
     min_reduced_dim,
-    reduce_solve_lift,
     theorem_bound,
 )
 from .projection import RandomSpec, c0, empirical_concentration
@@ -112,25 +117,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_reduce_solve(args) -> int:
     data = normalize_dataset(load_dataset(args.data, header=args.header))
-    d = data.numerical_rank
-    if args.r is not None:
-        r = args.r
-        epsilon = args.epsilon
-    else:
-        if args.eta is None or args.delta is None:
-            raise UnionFitError("give either --r or both --eta and --delta")
-        r = min_reduced_dim(args.eta, args.delta, args.subspaces, d, args.max_dim,
-                            data.count)
-        epsilon = eta_admissibility_epsilon(args.eta, args.subspaces, d,
-                                            args.max_dim)
-    e0 = None
-    if args.subspaces**data.count <= args.oracle_budget:
-        e0 = brute_force_oracle(
-            data, args.subspaces, args.max_dim, budget=args.oracle_budget
-        ).error
-    spec = RandomSpec(
-        distribution=args.dist, reduced_dim=r, ambient_dim=data.ambient_dim,
-        seed=args.seed,
+    reduction = ReductionConfig(
+        distribution=args.dist, r=args.r, eta=args.eta, delta=args.delta,
+        epsilon=args.epsilon,
     )
     cfg = SolverConfig(
         restarts=args.restarts,
@@ -139,23 +128,12 @@ def cmd_reduce_solve(args) -> int:
         oracle_budget=args.oracle_budget,
         seed=args.seed,
     )
-    report = reduce_solve_lift(
-        data, spec, args.subspaces, args.max_dim, cfg, epsilon=epsilon, e0=e0
-    )
-    _emit(
-        {
-            "r": report.r,
-            "epsilon": report.epsilon,
-            "e0": e0,
-            "reduced_error": report.reduced_error,
-            "lifted_error": report.lifted_error,
-            "bound_value": report.bound_value,
-            "bound_satisfied": report.bound_satisfied,
-            "reduced_certified_optimal": report.reduced_certified_optimal,
-            "groups": [list(g) for g in report.reduced_partition.groups],
-        },
-        args.out,
-    )
+    report = run_trial(data, args.subspaces, args.max_dim, reduction, cfg,
+                       sketch_seed=args.seed)
+    payload = {f: getattr(report, f) for f in ROW_FIELDS[1:]}
+    payload["reduced_certified_optimal"] = report.reduced_certified_optimal
+    payload["groups"] = [list(g) for g in report.reduced_partition.groups]
+    _emit(payload, args.out)
     return 0
 
 
@@ -219,7 +197,7 @@ def cmd_check_concentration(args) -> int:
         ambient_dim=args.ambient_dim,
         seed=args.seed,
     )
-    rng = np.random.default_rng([args.seed & ((1 << 64) - 1), 0xC0C0])
+    rng = np.random.default_rng([args.seed & SEED_MASK, 0xC0C0])
     vectors = []
     for _ in range(args.vectors):
         v = rng.normal(size=args.ambient_dim)

@@ -19,18 +19,17 @@ import numpy as np
 from .errors import InvalidSpec
 from .io import load_dataset
 from .metrics import bundle_error
-from .model import DataSet, normalize_dataset
+from .model import SEED_MASK, DataSet, normalize_dataset
 from .pipeline import (
+    LiftReport,
     SolverConfig,
     eta_admissibility_epsilon,
     min_reduced_dim,
     reduce_solve_lift,
 )
 from .projection import DISTRIBUTIONS, RandomSpec
-from .solver import brute_force_oracle
+from .solver import brute_force_oracle, within_budget
 from .synthetic import SyntheticSpec, generate_synthetic
-
-_SEED_MASK = (1 << 64) - 1
 
 ROW_FIELDS = (
     "trial",
@@ -58,6 +57,10 @@ class ReductionConfig:
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
             raise InvalidSpec(f"unknown distribution {self.distribution!r}")
+        for name in ("epsilon", "eta", "delta"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < 1.0:
+                raise InvalidSpec(f"{name} must lie in (0, 1), got {value}")
         fixed = self.r is not None
         auto = self.eta is not None or self.delta is not None
         if fixed and auto:
@@ -68,6 +71,48 @@ class ReductionConfig:
         else:
             if self.eta is None or self.delta is None:
                 raise InvalidSpec("auto mode needs both eta and delta")
+
+
+def run_trial(
+    data: DataSet,
+    n_subspaces: int,
+    max_dim: int,
+    reduction: ReductionConfig,
+    solver_cfg: SolverConfig,
+    sketch_seed: int,
+) -> LiftReport:
+    """One sketch/solve/lift trial on unit-Frobenius ``data``.
+
+    The sketch dimension and bound epsilon come from ``reduction`` (fixed
+    r, or the closed-form minimum for (eta, delta)).  The full-space
+    optimum e0 is certified by the oracle whenever l^m fits the solver's
+    budget; the report's bound columns are filled when both e0 and
+    epsilon are known.
+    """
+    if reduction.r is not None:
+        r, epsilon = reduction.r, reduction.epsilon
+    else:
+        d = data.numerical_rank
+        r = min_reduced_dim(
+            reduction.eta, reduction.delta, n_subspaces, d, max_dim, data.count
+        )
+        epsilon = eta_admissibility_epsilon(reduction.eta, n_subspaces, d, max_dim)
+
+    e0 = None
+    if within_budget(n_subspaces, data.count, solver_cfg.oracle_budget):
+        e0 = brute_force_oracle(
+            data, n_subspaces, max_dim, budget=solver_cfg.oracle_budget
+        ).error
+
+    spec = RandomSpec(
+        distribution=reduction.distribution,
+        reduced_dim=r,
+        ambient_dim=data.ambient_dim,
+        seed=sketch_seed,
+    )
+    return reduce_solve_lift(
+        data, spec, n_subspaces, max_dim, solver_cfg, epsilon=epsilon, e0=e0
+    )
 
 
 @dataclass(frozen=True)
@@ -105,8 +150,18 @@ class ExperimentResult:
 
 def derive_seed(master_seed: int, *path: int) -> int:
     """64-bit seed derived deterministically from (master, *path)."""
-    entropy = [master_seed & _SEED_MASK, *[p & _SEED_MASK for p in path]]
+    entropy = [master_seed & SEED_MASK, *[p & SEED_MASK for p in path]]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _section(raw: dict, key: str) -> dict:
+    """``raw[key]`` as a JSON object; a missing or null section is empty."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InvalidSpec(f"config section {key!r} must be a JSON object")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -127,7 +182,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dataset_file = None
     file_header = False
     if "synthetic" in dataset:
-        spec_raw = dict(dataset["synthetic"])
+        spec_raw = _section(dataset, "synthetic")
         if "seed" in spec_raw:
             raise InvalidSpec("synthetic seed is derived from master_seed; "
                               "remove it from the config")
@@ -138,6 +193,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif "file" in dataset:
         entry = dataset["file"]
         if isinstance(entry, dict):
+            if "path" not in entry:
+                raise InvalidSpec('a file dataset object needs a "path"')
             dataset_file = entry["path"]
             file_header = bool(entry.get("header", False))
         else:
@@ -145,7 +202,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     else:
         raise InvalidSpec(f"unknown dataset source {sorted(dataset)}")
 
-    model = raw.get("model") or {}
+    model = _section(raw, "model")
     n_subspaces = model.get(
         "n_subspaces", synthetic.n_subspaces if synthetic else None
     )
@@ -154,12 +211,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise InvalidSpec("file datasets need an explicit model section")
 
     try:
-        reduction = ReductionConfig(**raw.get("reduction", {}))
-        solver = SolverConfig(**raw.get("solver", {}))
+        reduction = ReductionConfig(**_section(raw, "reduction"))
+        solver = SolverConfig(**_section(raw, "solver"))
     except TypeError as exc:
         raise InvalidSpec(f"bad reduction/solver section: {exc}") from exc
 
-    output = raw.get("output") or {}
+    output = _section(raw, "output")
     return ExperimentConfig(
         n_subspaces=int(n_subspaces),
         max_dim=int(max_dim),
@@ -225,41 +282,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for trial in range(cfg.trials):
         t_trial = time.perf_counter()
         data = _trial_dataset(cfg, trial, file_data)
-        d = data.numerical_rank
-
-        red = cfg.reduction
-        if red.r is not None:
-            r = red.r
-            epsilon = red.epsilon
-        else:
-            r = min_reduced_dim(
-                red.eta, red.delta, cfg.n_subspaces, d, cfg.max_dim, data.count
-            )
-            epsilon = eta_admissibility_epsilon(
-                red.eta, cfg.n_subspaces, d, cfg.max_dim
-            )
-
-        e0 = None
-        if cfg.n_subspaces**data.count <= cfg.solver.oracle_budget:
-            e0 = brute_force_oracle(
-                data, cfg.n_subspaces, cfg.max_dim, budget=cfg.solver.oracle_budget
-            ).error
-
-        spec = RandomSpec(
-            distribution=red.distribution,
-            reduced_dim=r,
-            ambient_dim=data.ambient_dim,
-            seed=derive_seed(cfg.master_seed, trial, 1),
-        )
-        solver_cfg = replace(cfg.solver, seed=derive_seed(cfg.master_seed, trial, 2))
-        report = reduce_solve_lift(
+        report = run_trial(
             data,
-            spec,
             cfg.n_subspaces,
             cfg.max_dim,
-            solver_cfg,
-            epsilon=epsilon,
-            e0=e0,
+            cfg.reduction,
+            replace(cfg.solver, seed=derive_seed(cfg.master_seed, trial, 2)),
+            sketch_seed=derive_seed(cfg.master_seed, trial, 1),
         )
 
         recomputed = bundle_error(data, report.lifted_bundle)
@@ -269,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             hard_failures.append(f"trial {trial}: non-finite error")
         elif abs(recomputed - report.lifted_error) > 1e-10:
             hard_failures.append(f"trial {trial}: inconsistent lifted error")
-        elif e0 is not None and report.lifted_error < e0 - 1e-9:
+        elif report.e0 is not None and report.lifted_error < report.e0 - 1e-9:
             hard_failures.append(f"trial {trial}: lifted error below the optimum")
         if report.bound_satisfied is not None:
             bound_checked += 1
@@ -277,21 +306,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 bound_violations += 1
 
         rows.append(
-            {
-                "trial": trial,
-                "r": r,
-                "epsilon": epsilon,
-                "e0": e0,
-                "reduced_error": report.reduced_error,
-                "lifted_error": report.lifted_error,
-                "bound_value": report.bound_value,
-                "bound_satisfied": report.bound_satisfied,
-            }
+            {"trial": trial, **{f: getattr(report, f) for f in ROW_FIELDS[1:]}}
         )
         per_trial_seconds.append(time.perf_counter() - t_trial)
 
     summary = {
-        "config_echo": _config_echo(cfg),
+        "config_echo": asdict(cfg),
         "totals": {"trials": cfg.trials, "bound_checked": bound_checked},
         "violations": {
             "bound": bound_violations,
@@ -311,11 +331,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     return result
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = asdict(cfg)
-    return echo
 
 
 def rows_to_csv_text(rows: list[dict]) -> str:

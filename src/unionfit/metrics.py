@@ -8,11 +8,6 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange
 from .model import RANK_TOL_FACTOR, Bundle, DataSet, Subspace
 
-# Absolute comparison tolerance for the sparsity witness check; errors of
-# unit-Frobenius data are bounded by 1, so an absolute slack is meaningful.
-WITNESS_TOL = 1e-10
-
-
 def _as_columns(data) -> np.ndarray:
     if isinstance(data, DataSet):
         return data.points
@@ -112,11 +107,3 @@ def ek_min_error(matrix, k: int) -> float:
         return 0.0
     return float(np.sum(eigvals[k:rank]))
 
-
-def sparsity_witness_check(data: DataSet, bundle: Bundle, rho: float) -> bool:
-    """True when the bundle certifies total squared error at most rho.
-
-    A True result witnesses the sparsity level; False only means this
-    particular bundle fails to certify it.
-    """
-    return bundle_error(data, bundle) <= rho + WITNESS_TOL

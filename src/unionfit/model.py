@@ -25,6 +25,9 @@ RANK_TOL_FACTOR = 1e-12
 # Entrywise tolerance on Q^T Q - I for orthonormal bases.
 ORTHO_TOL = 1e-10
 
+# Seeds are reduced to 64 bits before they key a random generator.
+SEED_MASK = (1 << 64) - 1
+
 
 def rank_from_singular_values(sigma: np.ndarray, shape: tuple[int, int]) -> int:
     """Count singular values above the shared rank tolerance."""
@@ -275,34 +278,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Model size: number of subspaces, their dimension cap, and the error level."""
-
-    n_subspaces: int
-    max_dim: int
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.n_subspaces < 1:
-            raise OutOfRange("need at least one subspace")
-        if self.max_dim < 1:
-            raise OutOfRange("subspace dimension cap must be positive")
-        if self.rho < 0:
-            raise OutOfRange("rho must be nonnegative")
-
-    def validate_for(self, data: DataSet) -> None:
-        if self.n_subspaces >= data.count:
-            raise OutOfRange(
-                f"need fewer subspaces ({self.n_subspaces}) than points ({data.count})"
-            )
-        if self.max_dim >= data.ambient_dim:
-            raise OutOfRange(
-                f"dimension cap {self.max_dim} must be below the ambient "
-                f"dimension {data.ambient_dim}"
-            )
 
 
 def normalize_dataset(data: DataSet) -> DataSet:

@@ -24,6 +24,7 @@ from .solver import (
     DEFAULT_TOL,
     brute_force_oracle,
     solve_best_model,
+    within_budget,
 )
 
 # How far from 1 the Frobenius norm may sit before the pipeline refuses.
@@ -49,8 +50,8 @@ class SolverConfig:
 class LiftReport:
     """Outcome of one reduce/solve/lift run.
 
-    ``bound_value``/``bound_satisfied`` are filled only when the caller
-    supplies the certified optimum ``e0`` together with ``epsilon``.
+    ``e0`` and ``epsilon`` echo the caller's arguments;
+    ``bound_value``/``bound_satisfied`` are filled only when both are given.
     When the reduced instance exceeded the oracle budget the partition is
     only best-found, flagged by ``reduced_certified_optimal``.
     """
@@ -60,20 +61,30 @@ class LiftReport:
     lifted_error: float
     reduced_error: float
     epsilon: float | None
+    e0: float | None
     r: int
     bound_value: float | None
     bound_satisfied: bool | None
     reduced_certified_optimal: bool
 
 
+def _check_shape(n_subspaces: int, d: int, k: int, count: int | None = None) -> None:
+    """The (l, d, k) preconditions shared by the closed-form bounds, plus the
+    point count m when one is given."""
+    if d < k:
+        raise OutOfRange(f"rank d={d} must be at least k={k}")
+    if count is None:
+        if k < 0 or n_subspaces < 1:
+            raise OutOfRange("need k >= 0 and at least one subspace")
+    elif k < 0 or n_subspaces < 1 or count < 1:
+        raise OutOfRange("need k >= 0, at least one subspace and one point")
+
+
 def theorem_bound(e0: float, epsilon: float, n_subspaces: int, d: int, k: int) -> float:
     """Lifted-error budget (1+eps) e0 + eps sqrt(l (d-k))."""
     if not 0.0 < epsilon < 1.0:
         raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
-    if d < k:
-        raise OutOfRange(f"rank d={d} must be at least k={k}")
-    if k < 0 or n_subspaces < 1:
-        raise OutOfRange("need k >= 0 and at least one subspace")
+    _check_shape(n_subspaces, d, k)
     if e0 < 0:
         raise OutOfRange("e0 must be nonnegative")
     return (1.0 + epsilon) * e0 + epsilon * math.sqrt(n_subspaces * (d - k))
@@ -83,10 +94,7 @@ def eta_admissibility_epsilon(eta: float, n_subspaces: int, d: int, k: int) -> f
     """The concentration eps that turns the lifted-error budget into e0 + eta."""
     if not 0.0 < eta < 1.0:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
-    if d < k:
-        raise OutOfRange(f"rank d={d} must be at least k={k}")
-    if k < 0 or n_subspaces < 1:
-        raise OutOfRange("need k >= 0 and at least one subspace")
+    _check_shape(n_subspaces, d, k)
     return eta / (1.0 + math.sqrt(n_subspaces * (d - k)))
 
 
@@ -99,10 +107,7 @@ def min_reduced_dim(
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
     if not 0.0 < delta < 1.0:
         raise OutOfRange(f"delta must lie in (0, 1), got {delta}")
-    if d < k:
-        raise OutOfRange(f"rank d={d} must be at least k={k}")
-    if k < 0 or n_subspaces < 1 or count < 1:
-        raise OutOfRange("need k >= 0, at least one subspace and one point")
+    _check_shape(n_subspaces, d, k, count)
     coeff = 12.0 * (1.0 + math.sqrt(n_subspaces * (d - k))) ** 2 / (eta * eta)
     log_term = math.log((2.0 * count * count + 4.0 * count) / delta)
     return max(1, math.ceil(coeff * log_term))
@@ -133,8 +138,7 @@ def ek_perturbation_check(
     """
     if k < 0:
         raise OutOfRange("k must be nonnegative")
-    if d < k:
-        raise OutOfRange(f"rank d={d} must be at least k={k}")
+    _check_shape(1, d, k)
     pts = _as_columns(slice_)
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[1] != pts.shape[0]:
@@ -187,7 +191,7 @@ def reduce_solve_lift(
         a = sample_matrix(spec)
 
     reduced = DataSet(a @ data.points)
-    if n_subspaces**data.count <= cfg.oracle_budget:
+    if within_budget(n_subspaces, data.count, cfg.oracle_budget):
         report = brute_force_oracle(
             reduced, n_subspaces, max_dim, budget=cfg.oracle_budget
         )
@@ -216,6 +220,7 @@ def reduce_solve_lift(
         lifted_error=lifted_error,
         reduced_error=report.error,
         epsilon=epsilon,
+        e0=e0,
         r=spec.reduced_dim,
         bound_value=bound,
         bound_satisfied=satisfied,

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .model import Subspace, matrix_rank
-
-_SEED_MASK = (1 << 64) - 1
+from .model import SEED_MASK, Subspace, matrix_rank
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -58,7 +56,7 @@ class ConcentrationReport:
 def _generator(seed: int, stream: int) -> np.random.Generator:
     # Philox is counter-based and keyed, so (seed, stream) pairs give
     # independent, reproducible streams that are safe to draw in parallel.
-    key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
+    key = np.array([seed & SEED_MASK, stream & SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -12,13 +12,11 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidInit, OutOfRange
 from .fitting import bundle_from_partition, partition_from_bundle
 from .metrics import bundle_error
-from .model import Bundle, DataSet, Partition
+from .model import SEED_MASK, Bundle, DataSet, Partition
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 DEFAULT_ORACLE_BUDGET = 10_000_000
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def random_partition(
     count: int, n_groups: int, seed: int, restart: int = 0
 ) -> Partition:
     """Uniformly random labeling of points, keyed by (seed, restart)."""
-    rng = np.random.default_rng([seed & _SEED_MASK, restart])
+    rng = np.random.default_rng([seed & SEED_MASK, restart])
     return Partition.from_labels(rng.integers(0, n_groups, size=count), n_groups)
 
 
@@ -201,6 +199,11 @@ def solve_best_model(
     )
 
 
+def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
+    """True when the oracle's l^m labelings fit the enumeration budget."""
+    return n_subspaces**count <= budget
+
+
 def brute_force_oracle(
     data: DataSet,
     n_subspaces: int,
@@ -218,9 +221,8 @@ def brute_force_oracle(
     _check_model_dims(data, n_subspaces, max_dim)
     if budget < 1:
         raise OutOfRange("budget must be positive")
-    required = n_subspaces**data.count
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    if not within_budget(n_subspaces, data.count, budget):
+        raise BudgetExceeded(n_subspaces**data.count, budget)
 
     best_error = np.inf
     best_bundle: Bundle | None = None

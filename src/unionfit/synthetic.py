@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .model import Bundle, DataSet, Partition, Subspace, normalize_dataset
-
-_SEED_MASK = (1 << 64) - 1
+from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace, normalize_dataset
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DataSet, GroundTruth]:
     noise, and the resulting matrix is scaled to unit Frobenius norm
     (which leaves the generating subspaces unchanged).
     """
-    rng = np.random.default_rng(spec.seed & _SEED_MASK)
+    rng = np.random.default_rng(spec.seed & SEED_MASK)
     counts = spec.counts
     bases = []
     for _ in range(spec.n_subspaces):

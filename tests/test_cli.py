@@ -107,6 +107,15 @@ def test_reduce_solve_eta_mode(tmp_path):
     assert 0 < report["epsilon"] < 1
 
 
+def test_reduce_solve_rejects_conflicting_sketch_flags(tmp_path):
+    out = generate_dataset(tmp_path, points=5)
+    common = ("reduce-solve", "--data", out, "--subspaces", 2, "--max-dim", 1)
+    # a fixed r together with (eta, delta) is ambiguous
+    assert run_cli(*common, "--r", 3, "--eta", "0.5", "--delta", "0.1") == 2
+    assert run_cli(*common, "--r", 3, "--epsilon", "1.5") == 2
+    assert run_cli(*common, "--eta", "0.5") == 2
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "bounds.json"
     code = run_cli(
@@ -174,6 +183,18 @@ def test_experiment_command_rejects_bad_config(tmp_path):
     cfg_path.write_text(json.dumps({"trials": 1}))
     assert run_cli("experiment", "--config", cfg_path) == 2
     assert run_cli("experiment", "--config", tmp_path / "missing.json") == 2
+    synthetic = {"synthetic": {"ambient_dim": 8, "n_subspaces": 2, "max_dim": 1,
+                               "n_points": 6}}
+    for bad in (
+        {"dataset": {"file": {"header": True}}, "model": {"n_subspaces": 2,
+                                                          "max_dim": 1}},
+        {"dataset": synthetic, "model": [1]},
+        {"dataset": synthetic, "output": "x"},
+        # a bad epsilon is reported even when no trial would run
+        {"dataset": synthetic, "reduction": {"r": 3, "epsilon": 1.5}, "trials": 0},
+    ):
+        cfg_path.write_text(json.dumps(bad))
+        assert run_cli("experiment", "--config", cfg_path) == 2
 
 
 def test_invalid_dataset_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from unionfit import (
     run_experiment,
     save_dataset,
 )
-from unionfit.experiment import ROW_FIELDS, derive_seed, rows_to_csv_text
+from unionfit.experiment import ROW_FIELDS, derive_seed, rows_to_csv_text, run_trial
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -184,6 +185,39 @@ def test_config_validation_errors():
                                 "delta": 0.1})
     with pytest.raises(InvalidSpec):
         small_config(unknown_section=1)
+    # sketch parameters outside (0, 1) are rejected before any trial runs
+    for bad in ({"r": 3, "epsilon": 1.5}, {"r": 3, "epsilon": 0.0},
+                {"eta": 1.0, "delta": 0.1}, {"eta": 0.5, "delta": -0.1}):
+        with pytest.raises(InvalidSpec):
+            small_config(trials=0, reduction=bad)
+    with pytest.raises(InvalidSpec):
+        small_config(dataset={"file": {"header": True}})  # no path
+    with pytest.raises(InvalidSpec):
+        small_config(model=[1])
+    with pytest.raises(InvalidSpec):
+        small_config(output="x")
+
+
+@pytest.mark.parametrize(
+    "reduction",
+    [
+        {"distribution": "gaussian", "r": 3, "epsilon": 0.5},
+        {"distribution": "bernoulli", "eta": 0.9, "delta": 0.5},
+    ],
+)
+def test_run_trial_reproduces_experiment_rows(reduction):
+    cfg = small_config(trials=3, reduction=reduction)
+    rows = run_experiment(cfg).rows
+    for t, row in enumerate(rows):
+        spec = replace(cfg.synthetic, seed=derive_seed(cfg.master_seed, t, 0))
+        data, _ = generate_synthetic(spec)
+        solver_cfg = replace(cfg.solver, seed=derive_seed(cfg.master_seed, t, 2))
+        report = run_trial(data, cfg.n_subspaces, cfg.max_dim, cfg.reduction,
+                           solver_cfg, sketch_seed=derive_seed(cfg.master_seed, t, 1))
+        # exact float equality: both paths run the very same computation
+        assert {f: getattr(report, f) for f in ROW_FIELDS[1:]} == {
+            f: row[f] for f in ROW_FIELDS[1:]
+        }
 
 
 def test_hard_invariant_failure_sets_exit_code(monkeypatch):

@@ -15,7 +15,6 @@ from unionfit import (
     ek_min_error,
     group_error,
     partition_from_bundle,
-    sparsity_witness_check,
 )
 
 
@@ -190,7 +189,7 @@ def test_sparsity_witness_check():
     pts = np.column_stack([q1 @ rng.normal(size=(1, 3)), q2 @ rng.normal(size=(1, 3))])
     data = DataSet(pts)
     generating = Bundle((Subspace(q1), Subspace(q2)), cap_dim=1)
-    assert sparsity_witness_check(data, generating, rho=0.0)
+    assert bundle_error(data, generating) <= 0.0 + 1e-10
     wrong = Bundle(
         (
             Subspace(np.array([[1.0], [0.0], [0.0], [0.0]])),
@@ -198,14 +197,14 @@ def test_sparsity_witness_check():
         ),
         cap_dim=1,
     )
-    assert not sparsity_witness_check(data, wrong, rho=0.0)
+    assert not bundle_error(data, wrong) <= 0.0 + 1e-10
 
 
 def test_witness_at_certified_optimum():
     rng = np.random.default_rng(91)
     data = DataSet(rng.normal(size=(3, 6)))
     report = brute_force_oracle(data, 2, 1)
-    assert sparsity_witness_check(data, report.bundle, rho=report.error)
+    assert bundle_error(data, report.bundle) <= report.error + 1e-10
 
 
 def test_spectral_tail_sum_perturbation():
@@ -250,5 +249,5 @@ def test_noisy_witness_with_oracle_bundle():
     data = DataSet(pts)
     report = brute_force_oracle(data, 2, 1)
     assert report.error > 0
-    assert sparsity_witness_check(data, report.bundle, rho=report.error)
-    assert not sparsity_witness_check(data, report.bundle, rho=report.error / 2)
+    assert bundle_error(data, report.bundle) <= report.error + 1e-10
+    assert not bundle_error(data, report.bundle) <= report.error / 2 + 1e-10

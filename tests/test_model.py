@@ -7,7 +7,6 @@ from unionfit import (
     DimensionMismatch,
     EmptyBundle,
     InvalidPartition,
-    ModelParams,
     OutOfRange,
     Partition,
     Subspace,
@@ -172,19 +171,6 @@ def test_bundle_validation():
         Bundle((e1, Subspace.zero(3)), cap_dim=1)
     bundle = Bundle((e1, Subspace.zero(2)), cap_dim=1)
     assert len(bundle) == 2 and bundle.ambient_dim == 2
-
-
-def test_model_params_validation():
-    params = ModelParams(n_subspaces=2, max_dim=1, rho=0.0)
-    params.validate_for(DataSet(np.eye(3)))
-    with pytest.raises(OutOfRange):
-        ModelParams(n_subspaces=0, max_dim=1)
-    with pytest.raises(OutOfRange):
-        ModelParams(n_subspaces=1, max_dim=1, rho=-0.5)
-    with pytest.raises(OutOfRange):
-        ModelParams(n_subspaces=3, max_dim=1).validate_for(DataSet(np.eye(3)))
-    with pytest.raises(OutOfRange):
-        ModelParams(n_subspaces=2, max_dim=3).validate_for(DataSet(np.eye(3)))
 
 
 def test_error_scales_with_alpha_squared():

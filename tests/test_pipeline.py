@@ -238,6 +238,15 @@ def test_eta_admissible_sketch_stays_within_eta_of_optimum():
         assert report.bound_satisfied
 
 
+def test_lift_report_echoes_e0():
+    rng = np.random.default_rng(41)
+    data = normalize_dataset(DataSet(rng.normal(size=(10, 7))))
+    spec = RandomSpec("gaussian", reduced_dim=4, ambient_dim=10, seed=9)
+    e0 = brute_force_oracle(data, 2, 1).error
+    assert reduce_solve_lift(data, spec, 2, 1, e0=e0).e0 == e0
+    assert reduce_solve_lift(data, spec, 2, 1).e0 is None
+
+
 def test_lifted_error_never_below_certified_optimum():
     rng = np.random.default_rng(40)
     data = normalize_dataset(DataSet(rng.normal(size=(10, 7))))
