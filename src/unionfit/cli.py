@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common, data_opts, model_opts],
                        help="certified optimum by exhaustive enumeration")
     p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
-                   help="maximum number of labelings to enumerate")
+                   help="maximum l^m; one labeling per label permutation "
+                        "class (about l^m/l!) is actually scored")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

@@ -48,6 +48,45 @@ def best_subspace(matrix, k: int) -> Subspace:
     return Subspace(u[:, : min(k, rank)])
 
 
+def best_subspace_residuals(
+    points: np.ndarray, members: np.ndarray, k: int
+) -> np.ndarray:
+    """Batched best_subspace followed by residual_norms_sq.
+
+    Row b of the result holds the squared distance of every column of
+    ``points`` (N x m) to ``best_subspace(points[:, members[b]], k)``, where
+    ``members`` is a B x m boolean array and a row may select no column.
+    Slices of equal width share one stacked SVD and bases of equal
+    dimension share one stacked matmul; every slice and basis goes through
+    the same LAPACK and BLAS calls as the unbatched path, so each row is
+    bit-identical to it.
+    """
+    n_rows = points.shape[0]
+    rows = np.empty(members.shape)
+    rows[:] = np.sum(points * points, axis=0)  # the zero subspace
+    if k == 0:
+        return rows
+    sizes = np.count_nonzero(members, axis=1)
+    by_dim: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for width in np.unique(sizes[sizes > 0]):
+        which = np.flatnonzero(sizes == width)
+        cols = np.nonzero(members[which])[1].reshape(which.size, width)
+        slices = points.T[cols].transpose(0, 2, 1)
+        u, s, _ = np.linalg.svd(slices, full_matrices=False)
+        dims = np.minimum(k, rank_from_singular_values(s, (n_rows, int(width))))
+        for t in np.unique(dims[dims > 0]):
+            pick = dims == t
+            by_dim.setdefault(int(t), []).append((which[pick], u[pick, :, :t]))
+    for parts in by_dim.values():
+        which = np.concatenate([w for w, _ in parts])
+        # Contiguous like a Subspace basis, so q^T is the same transposed
+        # operand the unbatched matmul sees.
+        q = np.ascontiguousarray(np.concatenate([b for _, b in parts]))
+        resid = points - q @ (q.transpose(0, 2, 1) @ points)
+        rows[which] = np.sum(resid * resid, axis=1)
+    return rows
+
+
 def bundle_from_partition(data: DataSet, partition: Partition, k: int) -> Bundle:
     """Fit the best rank-<=k subspace to each group; empty groups map to {0}."""
     if partition.count != data.count:

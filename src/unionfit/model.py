@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,13 +30,17 @@ ORTHO_TOL = 1e-10
 SEED_MASK = (1 << 64) - 1
 
 
-def rank_from_singular_values(sigma: np.ndarray, shape: tuple[int, int]) -> int:
-    """Count singular values above the shared rank tolerance."""
+def rank_from_singular_values(sigma: np.ndarray, shape: tuple[int, int]):
+    """Count singular values above the shared rank tolerance.
+
+    ``sigma`` is one descending spectrum of a matrix of the given shape, or
+    a stack of such spectra along the leading axes; a stack gives an array
+    of counts, one per spectrum.
+    """
     s = np.asarray(sigma, dtype=float)
-    if s.size == 0:
-        return 0
-    cutoff = s[0] * max(shape) * RANK_TOL_FACTOR
-    return int(np.count_nonzero(s > cutoff))
+    cutoff = s[..., :1] * max(shape) * RANK_TOL_FACTOR
+    rank = np.count_nonzero(s > cutoff, axis=-1)
+    return int(rank) if s.ndim == 1 else rank
 
 
 def matrix_rank(a: np.ndarray) -> int:
@@ -59,7 +64,6 @@ class DataSet:
 
     points: np.ndarray
     frobenius_norm: float = field(init=False)
-    numerical_rank: int = field(init=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -74,7 +78,11 @@ class DataSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(pts)))
-        object.__setattr__(self, "numerical_rank", matrix_rank(pts))
+
+    @cached_property
+    def numerical_rank(self) -> int:
+        """Numerical rank of the points; the SVD runs on first access only."""
+        return matrix_rank(self.points)
 
     @property
     def ambient_dim(self) -> int:

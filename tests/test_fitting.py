@@ -17,6 +17,8 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
+from unionfit.fitting import best_subspace_residuals
+from unionfit.metrics import residual_norms_sq
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
@@ -34,6 +36,25 @@ def test_best_subspace_rank_one_data():
 def test_best_subspace_empty_slice():
     assert best_subspace(np.zeros((4, 0)), 2).dim == 0
     assert best_subspace(np.zeros((4, 0)), 0).dim == 0
+
+
+def test_best_subspace_residuals_match_unbatched_fits():
+    rng = np.random.default_rng(29)
+    pts = rng.normal(size=(3, 7))
+    pts[:, 1] = pts[:, 0]  # duplicate column
+    pts[:, 2] = 0.0  # zero column
+    members = np.array([
+        [False] * 7,  # empty group
+        [False, False, True, False, False, False, False],  # zero slice: rank 0
+        [True, True, False, False, False, False, False],  # rank-1 slice
+        [True, False, False, True, True, False, False],
+        [True] * 7,  # wider than N
+    ])
+    for k in range(3):
+        rows = best_subspace_residuals(pts, members, k)
+        for row, member in zip(rows, members):
+            expected = residual_norms_sq(pts, best_subspace(pts[:, member], k))
+            assert np.array_equal(row, expected)
 
 
 def test_best_subspace_svd_oracle():

@@ -28,6 +28,24 @@ def test_dataset_caches_norm_and_rank():
     assert data.numerical_rank == 2
 
 
+def test_dataset_rank_is_computed_lazily_once(monkeypatch):
+    import unionfit.model
+
+    calls = []
+    real = unionfit.model.matrix_rank
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(unionfit.model, "matrix_rank", counting)
+    data = DataSet(np.eye(3)[:, :2])
+    assert calls == []
+    assert data.numerical_rank == 2
+    assert data.numerical_rank == 2
+    assert calls == [(3, 2)]
+
+
 def test_dataset_rank_matches_singular_value_count():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unionfit import (
     BudgetExceeded,
@@ -51,6 +54,33 @@ def naive_enumeration(points: np.ndarray, n_groups: int, k: int):
             best = err
             best_labels = labels
     return best, best_labels
+
+
+def reference_oracle(data: DataSet, n_groups: int, k: int):
+    """The oracle's original loop, kept as its reference: fit and score all
+    l^m labelings and keep the first strict minimum in product order."""
+    best_error = np.inf
+    best_bundle = None
+    for labels in itertools.product(range(n_groups), repeat=data.count):
+        candidate = Partition.from_labels(labels, n_groups)
+        fitted = bundle_from_partition(data, candidate, k)
+        err = bundle_error(data, fitted)
+        if err < best_error:
+            best_error = err
+            best_bundle = fitted
+    partition, _ = partition_from_bundle(data, best_bundle)
+    return best_error, best_bundle, partition
+
+
+def assert_oracle_matches_reference(data: DataSet, n_groups: int, k: int):
+    report = brute_force_oracle(data, n_groups, k)
+    error, bundle, partition = reference_oracle(data, n_groups, k)
+    assert report.error == error
+    assert report.partition.groups == partition.groups
+    assert len(report.bundle) == len(bundle)
+    for ours, theirs in zip(report.bundle, bundle):
+        assert np.array_equal(ours.basis, theirs.basis)
+    return report
 
 
 def test_alternate_minimize_ground_truth_init_converges_immediately():
@@ -184,6 +214,56 @@ def test_oracle_matches_naive_enumeration_exactly():
         report = brute_force_oracle(data, 2, 1)
         naive, _ = naive_enumeration(pts, 2, 1)
         assert report.error == naive
+        assert_oracle_matches_reference(data, 2, 1)
+    # Degenerate inputs in R^3, where groups of 4 or more points are wider
+    # than the ambient space.
+    for n_groups in (1, 2, 3):
+        for k in (0, 1, 2):
+            noisy = rng.normal(size=(3, 6))
+            noisy[:, 1] = noisy[:, 0]  # duplicated column
+            noisy[:, 4] = 0.0  # zero column
+            rank_one = np.outer(rng.normal(size=3), rng.normal(size=6))
+            rank_two = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 6))
+            for pts in (noisy, rank_one, rank_two):
+                assert_oracle_matches_reference(DataSet(pts), n_groups, k)
+    # Tall data splits the enumeration into several batches.  Every
+    # labeling ties at k = 0, and at exactly 0.0 for points on one axis,
+    # where the winner decides whether a group is empty: the first
+    # labeling must win across batches.
+    tall = rng.normal(size=(600, 7))
+    on_axis = np.zeros((600, 7))
+    on_axis[0] = np.arange(1.0, 8.0)
+    for pts, k in ((tall, 0), (tall, 1), (on_axis, 1)):
+        assert_oracle_matches_reference(DataSet(pts), 2, k)
+    # l = 1 admits any m within the budget: enumeration must not recurse
+    # or pack labels into a machine word.
+    data = DataSet(rng.normal(size=(3, 200)))
+    report = assert_oracle_matches_reference(data, 1, 1)
+    assert report.error == pytest.approx(ek_min_error(data.points, 1), rel=1e-9)
+
+
+@st.composite
+def small_oracle_instances(draw):
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 8))
+    n_groups = draw(st.integers(1, min(3, m - 1)))
+    k = draw(st.integers(0, n - 1))
+    pts = draw(arrays(np.float64, (n, m), elements=st.floats(-4, 4)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)), max_size=2)):
+        pts[:, dst] = pts[:, src]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        pts[:, j] = 0.0
+    return DataSet(pts), n_groups, k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_oracle_instances())
+def test_oracle_property_exact_and_below_heuristic(instance):
+    data, n_groups, k = instance
+    report = assert_oracle_matches_reference(data, n_groups, k)
+    heuristic = solve_best_model(data, n_groups, k, restarts=3, seed=0)
+    assert report.error <= heuristic.error + 1e-9
 
 
 def test_oracle_budget():
