@@ -9,11 +9,22 @@ import numpy as np
 
 from .errors import InvalidPartition, OutOfRange
 from .metrics import _as_columns, distance_table
-from .model import Bundle, DataSet, Partition, Subspace, rank_from_singular_values
+from .model import (
+    RANK_TOL_FACTOR,
+    Bundle,
+    DataSet,
+    Partition,
+    Subspace,
+    rank_from_singular_values,
+)
 
 # Two subspaces count as tied for a point when their squared distances
 # differ by at most this much.
 TIE_TOL = 1e-12
+
+# gram_basis trusts the k-th Gram eigenvalue only when it exceeds the
+# eigensolver's floor (n * eps * lambda_1) by this factor.
+GRAM_CLEAR_FACTOR = 1e4
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,39 @@ def best_subspace(matrix, k: int) -> Subspace:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     rank = rank_from_singular_values(s, (n_rows, n_cols))
     return Subspace(u[:, : min(k, rank)])
+
+
+def gram_basis(points: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis (N x t) of ``best_subspace(points, k)``'s span,
+    fitted from the eigenvectors of the smaller Gram matrix.
+
+    A slice with at least N columns uses the top-k eigenvectors of
+    X X^T directly; a narrower one takes the top-k eigenvectors V of
+    X^T X and orthonormalizes X V with a QR.  The symmetric eigensolver
+    resolves eigenvalues only down to about n * eps * lambda_1 for an
+    n x n Gram matrix, too coarse for the singular-value rank rule.  So
+    unless the k-th eigenvalue exceeds both that floor times
+    GRAM_CLEAR_FACTOR and the squared rank cutoff, the slice is fitted by
+    the SVD in ``best_subspace``.  Either way t equals
+    ``best_subspace(points, k).dim``.
+    """
+    n_rows, n_cols = points.shape
+    if n_cols == 0 or k == 0:
+        return np.zeros((n_rows, 0))
+    wide = n_cols >= n_rows
+    gram = points @ points.T if wide else points.T @ points
+    eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
+    floor = eigvals[-1] * max(
+        GRAM_CLEAR_FACTOR * eigvals.size * np.finfo(float).eps,
+        (max(n_rows, n_cols) * RANK_TOL_FACTOR) ** 2,
+    )
+    if k > eigvals.size or not eigvals[-k] > floor:
+        return best_subspace(points, k).basis
+    vecs = eigvecs[:, : -k - 1 : -1]  # top k, descending
+    if wide:
+        return np.ascontiguousarray(vecs)
+    q, _ = np.linalg.qr(points @ vecs)
+    return q
 
 
 def best_subspace_residuals(

@@ -12,6 +12,7 @@ from .errors import BudgetExceeded, InvalidInit, OutOfRange
 from .fitting import (
     best_subspace_residuals,
     bundle_from_partition,
+    gram_basis,
     partition_from_bundle,
 )
 from .metrics import bundle_error
@@ -64,31 +65,29 @@ def _check_model_dims(data: DataSet, n_subspaces: int, max_dim: int) -> None:
         )
 
 
-def _reseed_empty_groups(partition: Partition, dist2: np.ndarray) -> Partition:
-    """Move the worst-fit point into each empty group.
+def _reseed_empty_groups(
+    labels: np.ndarray, dist2: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Move the worst-fit point into each empty group of a label array.
 
     Points are taken in descending residual order and never drained from a
     group that would become empty itself; ties break toward the lowest
     point index so the repair is deterministic.
     """
-    sizes = [len(g) for g in partition.groups]
-    empties = [i for i, size in enumerate(sizes) if size == 0]
-    if not empties:
-        return partition
-    labels = partition.labels()
+    sizes = np.bincount(labels, minlength=n_groups)
+    empties = np.flatnonzero(sizes == 0)
+    if empties.size == 0:
+        return labels
+    labels = labels.copy()
     order = np.argsort(-dist2, kind="stable")
-    moved: set[int] = set()
     for target in empties:
-        for j in order:
-            j = int(j)
-            if j in moved or sizes[labels[j]] <= 1:
-                continue
-            sizes[labels[j]] -= 1
-            labels[j] = target
-            sizes[target] = 1
-            moved.add(j)
-            break
-    return Partition.from_labels(labels, len(partition.groups))
+        # A moved point sits alone in its new group, so it is never moved
+        # twice.
+        j = next(j for j in order if sizes[labels[j]] > 1)
+        sizes[labels[j]] -= 1
+        labels[j] = target
+        sizes[target] = 1
+    return labels
 
 
 def alternate_minimize(
@@ -101,12 +100,21 @@ def alternate_minimize(
 ) -> SolveReport:
     """Alternate group-wise fitting and nearest-subspace assignment.
 
-    Each iteration fits a bundle to the current partition and reassigns
-    points to their nearest subspace, so the error sequence never
-    increases.  The loop stops at a stable partition, when the relative
-    improvement drops below ``tol``, or after ``max_iter`` iterations.
-    If a reassignment empties a group, the group is reseeded with the
-    single worst-fit point before the next round.
+    Each iteration fits a subspace to every group of the current labels
+    and reassigns points to their nearest subspace, so the error sequence
+    never increases (Tseng 2000; Aldroubi, Cabrelli and Molter 2008).  The
+    loop stops at a stable labeling, when the relative improvement drops
+    below ``tol``, or after ``max_iter`` iterations.  If a reassignment
+    empties a group, the group is reseeded with the single worst-fit point
+    before the next round.
+
+    Inside the loop a group is fitted from its Gram matrix
+    (``fitting.gram_basis``), and a group whose members did not change
+    keeps its basis and its row of the distance table.  The labels fitted
+    by the last iteration are then refitted once with the SVD
+    (``bundle_from_partition``) and assigned once
+    (``partition_from_bundle``), so the returned bundle, partition and
+    error, which replaces the last trace entry, are those of the SVD path.
     """
     _check_model_dims(data, n_subspaces, max_dim)
     if max_iter < 1:
@@ -119,23 +127,48 @@ def alternate_minimize(
             f"expected {data.count} points in {n_subspaces} groups"
         )
 
-    current = init
+    points = data.points
+    table = np.empty((n_subspaces, data.count))
+    resid = np.empty_like(points)
+    sq_norms = np.sum(points * points, axis=0)
+    fitted_members: list[np.ndarray | None] = [None] * n_subspaces
+    labels = init.labels()
     errors: list[float] = []
-    bundle = None
-    partition = init
     for _ in range(max_iter):
-        bundle = bundle_from_partition(data, current, max_dim)
-        partition, trace = partition_from_bundle(data, bundle)
-        err = float(np.sum(trace.dist2))
+        fitted = labels
+        for g in range(n_subspaces):
+            members = labels == g
+            if fitted_members[g] is not None and np.array_equal(
+                members, fitted_members[g]
+            ):
+                continue
+            fitted_members[g] = members
+            q = gram_basis(points[:, members], max_dim)
+            if q.shape[1] == 0:
+                table[g] = sq_norms
+                continue
+            np.matmul(q, q.T @ points, out=resid)
+            np.subtract(points, resid, out=resid)
+            np.multiply(resid, resid, out=resid)
+            np.sum(resid, axis=0, out=table[g])
+        labels = np.argmin(table, axis=0)
+        dist2 = table[labels, np.arange(data.count)]
+        err = float(np.sum(dist2))
         errors.append(err)
-        if partition == current:
-            # Exact fixpoint: the bundle is generated by the returned
-            # partition and vice versa.
+        if np.array_equal(labels, fitted):
             break
         if len(errors) >= 2 and errors[-2] - err <= tol * max(errors[-2], 1e-300):
             break
-        current = _reseed_empty_groups(partition, trace.dist2)
+        labels = _reseed_empty_groups(labels, dist2, n_subspaces)
 
+    # The SVD pass below makes its own N x m temporaries; release the
+    # buffer first so peak memory stays that of the SVD pass alone.
+    del resid
+    bundle = bundle_from_partition(
+        data, Partition.from_labels(fitted, n_subspaces), max_dim
+    )
+    partition, trace = partition_from_bundle(data, bundle)
+    errors[-1] = float(np.sum(trace.dist2))
     return SolveReport(
         bundle=bundle,
         partition=partition,

@@ -17,7 +17,7 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
-from unionfit.fitting import best_subspace_residuals
+from unionfit.fitting import best_subspace_residuals, gram_basis
 from unionfit.metrics import residual_norms_sq
 
 
@@ -55,6 +55,34 @@ def test_best_subspace_residuals_match_unbatched_fits():
         for row, member in zip(rows, members):
             expected = residual_norms_sq(pts, best_subspace(pts[:, member], k))
             assert np.array_equal(row, expected)
+
+
+def test_gram_basis_matches_svd_fit():
+    rng = np.random.default_rng(37)
+    n = 5
+    probe = rng.normal(size=(n, 9))  # points the residuals are measured on
+    dup = rng.normal(size=(n, 4))
+    dup[:, 2:] = dup[:, :2]
+    slices = {
+        "zero": np.zeros((n, 3)),
+        "empty": np.zeros((n, 0)),
+        "rank-1": np.outer(rng.normal(size=n), rng.normal(size=8)),
+        "duplicated": dup,
+        "narrow": rng.normal(size=(n, 3)),
+        "wide": rng.normal(size=(n, 12)),
+        "wide, rank 2": rng.normal(size=(n, 2)) @ rng.normal(size=(2, 12)),
+    }
+    for name, x in slices.items():
+        points = np.hstack([x, probe])
+        scale = np.sum(points * points, axis=0)
+        for k in range(4):
+            q = gram_basis(x, k)
+            svd = best_subspace(x, k)
+            assert q.shape == (n, svd.dim), (name, k)
+            assert np.allclose(q.T @ q, np.eye(svd.dim), atol=1e-12)
+            ours = residual_norms_sq(points, Subspace(q))
+            theirs = residual_norms_sq(points, svd)
+            assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
 
 
 def test_best_subspace_svd_oracle():

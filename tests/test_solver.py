@@ -22,8 +22,10 @@ from unionfit import (
     ek_min_error,
     group_error,
     partition_from_bundle,
+    random_partition,
     solve_best_model,
 )
+from unionfit import fitting, solver
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -81,6 +83,235 @@ def assert_oracle_matches_reference(data: DataSet, n_groups: int, k: int):
     for ours, theirs in zip(report.bundle, bundle):
         assert np.array_equal(ours.basis, theirs.basis)
     return report
+
+
+def reference_reseed(partition: Partition, dist2: np.ndarray) -> Partition:
+    """The original Partition-based reseed of empty groups."""
+    sizes = [len(g) for g in partition.groups]
+    empties = [i for i, size in enumerate(sizes) if size == 0]
+    if not empties:
+        return partition
+    labels = partition.labels()
+    order = np.argsort(-dist2, kind="stable")
+    moved: set[int] = set()
+    for target in empties:
+        for j in order:
+            j = int(j)
+            if j in moved or sizes[labels[j]] <= 1:
+                continue
+            sizes[labels[j]] -= 1
+            labels[j] = target
+            sizes[target] = 1
+            moved.add(j)
+            break
+    return Partition.from_labels(labels, len(partition.groups))
+
+
+def reference_alternate_minimize(data, n_groups, k, init, tol=1e-10, max_iter=100):
+    """The original alternating-minimization loop, kept as its reference:
+    an SVD fit of every group and a Partition per iteration.  Also returns
+    which exit the loop took."""
+    current = init
+    errors = []
+    exit = "max_iter"
+    for _ in range(max_iter):
+        bundle = bundle_from_partition(data, current, k)
+        partition, trace = partition_from_bundle(data, bundle)
+        err = float(np.sum(trace.dist2))
+        errors.append(err)
+        if partition == current:
+            exit = "fixpoint"
+            break
+        if len(errors) >= 2 and errors[-2] - err <= tol * max(errors[-2], 1e-300):
+            exit = "tol"
+            break
+        current = reference_reseed(partition, trace.dist2)
+    return bundle, partition, errors, exit
+
+
+def assert_am_matches_reference(data, n_groups, k, init, **kwargs):
+    """Run both loops, assert identical results, return the reference exit."""
+    report = alternate_minimize(data, n_groups, k, init, **kwargs)
+    bundle, partition, errors, exit = reference_alternate_minimize(
+        data, n_groups, k, init, **kwargs
+    )
+    assert report.error == errors[-1]
+    assert report.error_traces[0][-1] == errors[-1]
+    assert report.iterations == (len(errors),)
+    assert report.partition.groups == partition.groups
+    for ours, theirs in zip(report.bundle, bundle, strict=True):
+        assert np.array_equal(ours.basis, theirs.basis)
+    return exit
+
+
+def exactness_inputs():
+    """(name, data, l, k, init, kwargs, expected exit) for the loop comparison.
+
+    Together they take every fitting path of the Gram loop (groups at
+    least as wide as N, narrower groups, the SVD fallback for k >= rank
+    and rank-1 groups), start from empty groups, reseed a group emptied
+    mid-run, and leave through each exit.
+    """
+    rng = np.random.default_rng(191)
+    noisy = SyntheticSpec(ambient_dim=20, n_subspaces=3, max_dim=2, n_points=150,
+                          noise_sigma=0.01, seed=5)
+    clean = SyntheticSpec(ambient_dim=10, n_subspaces=2, max_dim=2, n_points=30,
+                          seed=6)
+    wide, _ = generate_synthetic(noisy)
+    exact, truth = generate_synthetic(clean)
+    narrow = DataSet(rng.normal(size=(30, 24)))
+    generic = DataSet(rng.normal(size=(8, 24)))
+    line = rng.normal(size=(6, 20))
+    line[:, :6] = np.outer(rng.normal(size=6), np.arange(1.0, 7.0))  # rank 1
+    line = DataSet(line)
+    small = DataSet(rng.normal(size=(4, 8)))
+    three = DataSet(rng.normal(size=(5, 12)))
+    emptied = DataSet(np.random.default_rng(3).normal(size=(5, 10)))
+    emptied_twice = DataSet(np.random.default_rng(146).normal(size=(5, 10)))
+    two_points = np.full(24, 2)
+    two_points[:2] = 0  # a group of 2 points under k = 3
+    return [
+        ("wide", wide, 3, 2, random_partition(150, 3, 1), {}, "fixpoint"),
+        ("wide-tol", wide, 3, 2, random_partition(150, 3, 2), {"tol": 1e-2},
+         "tol"),
+        ("wide-k0", wide, 3, 0, random_partition(150, 3, 3), {}, "tol"),
+        ("noiseless-from-truth", exact, 2, 2, truth.partition, {}, "fixpoint"),
+        ("noiseless", exact, 2, 2, random_partition(30, 2, 4), {}, "fixpoint"),
+        ("narrow", narrow, 3, 2, random_partition(24, 3, 5), {}, "fixpoint"),
+        ("narrow-max-iter-1", narrow, 3, 2, random_partition(24, 3, 6),
+         {"max_iter": 1}, "max_iter"),
+        ("narrow-max-iter-2", narrow, 3, 2, random_partition(24, 3, 7),
+         {"max_iter": 2}, "max_iter"),
+        ("k-above-group-size", generic, 3, 3, Partition.from_labels(two_points, 3),
+         {}, "fixpoint"),
+        ("rank-1-group", line, 2, 2,
+         Partition.from_labels(np.arange(20) >= 6, 2), {}, "fixpoint"),
+        ("one-empty-group", small, 2, 1,
+         Partition((tuple(range(8)), ()), count=8), {}, "fixpoint"),
+        ("two-empty-groups", three, 3, 1,
+         Partition(((), tuple(range(12)), ()), count=12), {}, "fixpoint"),
+        ("group-emptied-mid-run", emptied, 4, 2, random_partition(10, 4, 3), {},
+         "fixpoint"),
+        ("two-groups-emptied-at-once", emptied_twice, 4, 2,
+         random_partition(10, 4, 146), {}, "fixpoint"),
+    ]
+
+
+@pytest.mark.parametrize("case", exactness_inputs(), ids=lambda case: case[0])
+def test_alternate_minimize_matches_reference_loop(case):
+    _, data, n_groups, k, init, kwargs, expected = case
+    assert assert_am_matches_reference(data, n_groups, k, init, **kwargs) == expected
+
+
+def test_exactness_inputs_take_every_path(monkeypatch):
+    """The comparison above is only as good as its inputs: every fitting
+    path, the reuse of unchanged groups and the reseed must occur."""
+    seen = dict.fromkeys(("wide", "narrow", "fallback", "reseed"), 0)
+    gram_basis, best_subspace = solver.gram_basis, fitting.best_subspace
+    reseed = solver._reseed_empty_groups
+    in_gram = False
+    fits = 0
+
+    def traced_best(points, k):
+        seen["fallback"] += in_gram
+        return best_subspace(points, k)
+
+    def traced_gram(points, k):
+        nonlocal in_gram, fits
+        fits += 1
+        before = seen["fallback"]
+        in_gram = True
+        try:
+            q = gram_basis(points, k)
+        finally:
+            in_gram = False
+        n_rows, n_cols = points.shape
+        if n_cols and k and seen["fallback"] == before:
+            seen["wide" if n_cols >= n_rows else "narrow"] += 1
+        return q
+
+    def traced_reseed(labels, dist2, n_groups):
+        out = reseed(labels, dist2, n_groups)
+        seen["reseed"] += out is not labels
+        return out
+
+    monkeypatch.setattr(fitting, "best_subspace", traced_best)
+    monkeypatch.setattr(solver, "gram_basis", traced_gram)
+    monkeypatch.setattr(solver, "_reseed_empty_groups", traced_reseed)
+    group_rounds = 0
+    for _, data, n_groups, k, init, kwargs, _ in exactness_inputs():
+        report = alternate_minimize(data, n_groups, k, init, **kwargs)
+        group_rounds += report.iterations[0] * n_groups
+    assert all(seen.values()), seen
+    assert fits < group_rounds  # unchanged groups were not refitted
+
+
+def test_solve_best_model_matches_reference_loop():
+    rng = np.random.default_rng(193)
+    spec = SyntheticSpec(ambient_dim=20, n_subspaces=3, max_dim=2, n_points=150,
+                         noise_sigma=0.01, seed=7)
+    cases = [
+        (generate_synthetic(spec)[0], 3, 2),  # wide groups
+        (DataSet(rng.normal(size=(30, 24))), 3, 2),  # narrow groups
+        (DataSet(rng.normal(size=(5, 10))), 4, 2),  # small groups, reseeds
+    ]
+    for data, n_groups, k in cases:
+        report = solve_best_model(data, n_groups, k, restarts=4, seed=11)
+        best = None
+        iterations = []
+        for r in range(4):
+            init = random_partition(data.count, n_groups, 11, r)
+            bundle, partition, errors, _ = reference_alternate_minimize(
+                data, n_groups, k, init
+            )
+            iterations.append(len(errors))
+            if best is None or errors[-1] < best[0]:
+                best = (errors[-1], bundle, partition, r)
+        error, bundle, partition, winner = best
+        assert report.error == error
+        assert report.iterations == tuple(iterations)
+        assert report.winner == winner
+        assert report.partition.groups == partition.groups
+        for ours, theirs in zip(report.bundle, bundle, strict=True):
+            assert np.array_equal(ours.basis, theirs.basis)
+
+
+@st.composite
+def small_am_instances(draw):
+    """Small random data, optionally rank-deficient, with duplicated and
+    zero columns, plus a random initial labeling."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(3, 9))
+    n_groups = draw(st.integers(1, min(3, m - 1)))
+    k = draw(st.integers(0, n - 1))
+    rank = draw(st.integers(1, n))
+    left = draw(arrays(np.float64, (n, rank), elements=st.floats(-4, 4)))
+    right = draw(arrays(np.float64, (rank, m), elements=st.floats(-4, 4)))
+    pts = left @ right
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)), max_size=2)):
+        pts[:, dst] = pts[:, src]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        pts[:, j] = 0.0
+    labels = draw(arrays(np.int64, m, elements=st.integers(0, n_groups - 1)))
+    return DataSet(pts), n_groups, k, Partition.from_labels(labels, n_groups)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_am_instances())
+def test_alternate_minimize_invariants(instance):
+    data, n_groups, k, init = instance
+    report = alternate_minimize(data, n_groups, k, init)
+    trace = report.error_traces[0]
+    assert all(late <= early + 1e-12 for early, late in zip(trace, trace[1:]))
+    assert report.error == trace[-1] == bundle_error(data, report.bundle)
+    assert sorted(j for g in report.partition.groups for j in g) == list(
+        range(data.count)
+    )
+    nearest, _ = partition_from_bundle(data, report.bundle)
+    assert report.partition == nearest
+    if n_groups**data.count <= 512:
+        assert brute_force_oracle(data, n_groups, k).error <= report.error + 1e-9
 
 
 def test_alternate_minimize_ground_truth_init_converges_immediately():
