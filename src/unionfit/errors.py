@@ -18,7 +18,7 @@ class EmptyBundle(UnionFitError):
 
 
 class InvalidPartition(UnionFitError):
-    """Index groups do not form a partition of the point set."""
+    """Labels do not form a partition of the point set."""
 
 
 class InvalidInit(UnionFitError):

@@ -31,12 +31,11 @@ GRAM_CLEAR_FACTOR = 1e4
 class AssignmentTrace:
     """Per-point record of a nearest-subspace assignment."""
 
-    chosen: np.ndarray  # group index per point, minimizes the distance row
-    dist2: np.ndarray  # squared distance to the chosen subspace
+    dist2: np.ndarray  # squared distance to the nearest subspace
     tie_flags: np.ndarray  # True where >= 2 subspaces sit within TIE_TOL
 
     def __post_init__(self):
-        for name in ("chosen", "dist2", "tie_flags"):
+        for name in ("dist2", "tie_flags"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -138,8 +137,8 @@ def bundle_from_partition(data: DataSet, partition: Partition, k: int) -> Bundle
             f"partition covers {partition.count} points, dataset has {data.count}"
         )
     subspaces = tuple(
-        best_subspace(data.take(group), k) if group else Subspace.zero(data.ambient_dim)
-        for group in partition.groups
+        best_subspace(data.points[:, partition.labels == g], k)
+        for g in range(partition.n_groups)
     )
     return Bundle(subspaces, cap_dim=k)
 
@@ -149,8 +148,7 @@ def partition_from_bundle(
 ) -> tuple[Partition, AssignmentTrace]:
     """Assign every point to its nearest subspace, ties to the lowest index."""
     table = distance_table(data, bundle)
-    chosen = np.argmin(table, axis=0)
-    dist2 = table[chosen, np.arange(data.count)]
+    labels = np.argmin(table, axis=0)
+    dist2 = table[labels, np.arange(data.count)]
     tie_flags = np.sum(table <= dist2[None, :] + TIE_TOL, axis=0) >= 2
-    partition = Partition.from_labels(chosen, len(bundle))
-    return partition, AssignmentTrace(chosen, dist2, tie_flags)
+    return Partition(labels, len(bundle)), AssignmentTrace(dist2, tie_flags)

@@ -1,4 +1,4 @@
-"""Core data types: datasets, subspaces, bundles, and index partitions.
+"""Core data types: datasets, subspaces, bundles, and partitions.
 
 Points are stored as the columns of an N x m matrix.  All types are
 immutable after construction and safe to share across threads.
@@ -198,94 +198,53 @@ class Bundle:
         return iter(self.subspaces)
 
 
-@dataclass(frozen=True)
-class PartitionViolation:
-    """Why a list of groups fails to partition {0, ..., m-1}."""
-
-    kind: str  # "wrong-length" | "out-of-range" | "duplicate" | "overlap" | "gap"
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.detail}"
-
-
-def validate_partition(groups, count: int, n_groups: int):
-    """Check that ``groups`` is an ordered n_groups-partition of {0..count-1}.
-
-    Accepts a Partition or any iterable of index groups.  Returns None
-    when valid, otherwise the first PartitionViolation found.  Empty
-    groups are permitted.
-    """
-    if isinstance(groups, Partition):
-        groups = groups.groups
-    groups = [tuple(g) for g in groups]
-    if len(groups) != n_groups:
-        return PartitionViolation(
-            "wrong-length", f"expected {n_groups} groups, got {len(groups)}"
-        )
-    seen: dict[int, int] = {}
-    for gi, group in enumerate(groups):
-        for j in group:
-            jj = int(j)
-            if not 0 <= jj < count:
-                return PartitionViolation(
-                    "out-of-range", f"index {jj} outside 0..{count - 1}"
-                )
-            if jj in seen:
-                if seen[jj] == gi:
-                    return PartitionViolation(
-                        "duplicate", f"index {jj} repeated in group {gi}"
-                    )
-                return PartitionViolation(
-                    "overlap", f"index {jj} in groups {seen[jj]} and {gi}"
-                )
-            seen[jj] = gi
-    if len(seen) != count:
-        missing = sorted(set(range(count)) - seen.keys())
-        return PartitionViolation("gap", f"index {missing[0]} uncovered")
-    return None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered disjoint index groups covering {0, ..., count-1}.
+    """Assignment of m points to ``n_groups`` ordered groups: point j lies
+    in group ``labels[j]``.
 
-    Empty groups are allowed; group contents are kept sorted so two
-    partitions compare equal iff they assign the same indices to the
-    same slots.
+    ``labels`` is a read-only 1-d integer array with every entry in
+    0..n_groups-1, so groups are disjoint and cover every point by
+    construction; a group may be empty.  Two partitions are equal iff
+    they have the same number of groups and the same labels.
     """
 
-    groups: tuple[tuple[int, ...], ...]
-    count: int
+    labels: np.ndarray
+    n_groups: int
 
     def __post_init__(self):
-        groups = tuple(tuple(sorted(int(j) for j in g)) for g in self.groups)
-        violation = validate_partition(groups, self.count, len(groups))
-        if violation is not None:
-            raise InvalidPartition(str(violation))
-        object.__setattr__(self, "groups", groups)
-
-    @classmethod
-    def from_labels(cls, labels, n_groups: int) -> "Partition":
-        """Build the partition whose i-th group is {j : labels[j] == i}."""
-        lab = np.asarray(labels, dtype=int)
+        lab = np.asarray(self.labels)
         if lab.ndim != 1:
-            raise InvalidPartition("labels must be a flat sequence")
-        groups = tuple(
-            tuple(int(j) for j in np.flatnonzero(lab == i)) for i in range(n_groups)
+            raise InvalidPartition(f"labels must be 1-d, got shape {lab.shape}")
+        if lab.size and lab.dtype.kind not in "iu":
+            raise InvalidPartition(f"labels must be integers, got {lab.dtype}")
+        if self.n_groups < 1:
+            raise InvalidPartition(f"need n_groups >= 1, got {self.n_groups}")
+        lab = np.array(lab, dtype=int)
+        if lab.size and not (lab.min() >= 0 and lab.max() < self.n_groups):
+            raise InvalidPartition(f"labels must lie in 0..{self.n_groups - 1}")
+        lab.setflags(write=False)
+        object.__setattr__(self, "labels", lab)
+
+    @property
+    def count(self) -> int:
+        return self.labels.shape[0]
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted point indices of each group, as Python ints."""
+        order = np.argsort(self.labels, kind="stable")
+        sizes = np.bincount(self.labels, minlength=self.n_groups)
+        return tuple(
+            tuple(g.tolist()) for g in np.split(order, np.cumsum(sizes)[:-1])
         )
-        return cls(groups, count=lab.shape[0])
 
-    def labels(self) -> np.ndarray:
-        """Inverse of from_labels: the group index of every point."""
-        lab = np.empty(self.count, dtype=int)
-        for gi, group in enumerate(self.groups):
-            for j in group:
-                lab[j] = gi
-        return lab
-
-    def __len__(self) -> int:
-        return len(self.groups)
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.n_groups == other.n_groups and np.array_equal(
+            self.labels, other.labels
+        )
 
 
 def normalize_dataset(data: DataSet) -> DataSet:

@@ -103,10 +103,10 @@ def alternate_minimize(
     Each iteration fits a subspace to every group of the current labels
     and reassigns points to their nearest subspace, so the error sequence
     never increases (Tseng 2000; Aldroubi, Cabrelli and Molter 2008).  The
-    loop stops at a stable labeling, when the relative improvement drops
-    below ``tol``, or after ``max_iter`` iterations.  If a reassignment
-    empties a group, the group is reseeded with the single worst-fit point
-    before the next round.
+    loop stops at a stable labeling with no empty group, when the relative
+    improvement drops below ``tol``, or after ``max_iter`` iterations.  If
+    ``init`` or a reassignment leaves a group empty, the group is reseeded
+    with the single worst-fit point before the next round.
 
     Inside the loop a group is fitted from its Gram matrix
     (``fitting.gram_basis``), and a group whose members did not change
@@ -121,9 +121,9 @@ def alternate_minimize(
         raise OutOfRange("max_iter must be at least 1")
     if not isinstance(init, Partition):
         raise InvalidInit("init must be a Partition")
-    if init.count != data.count or len(init.groups) != n_subspaces:
+    if init.count != data.count or init.n_groups != n_subspaces:
         raise InvalidInit(
-            f"init covers {init.count} points in {len(init.groups)} groups, "
+            f"init covers {init.count} points in {init.n_groups} groups, "
             f"expected {data.count} points in {n_subspaces} groups"
         )
 
@@ -132,7 +132,7 @@ def alternate_minimize(
     resid = np.empty_like(points)
     sq_norms = np.sum(points * points, axis=0)
     fitted_members: list[np.ndarray | None] = [None] * n_subspaces
-    labels = init.labels()
+    labels = init.labels
     errors: list[float] = []
     for _ in range(max_iter):
         fitted = labels
@@ -155,7 +155,11 @@ def alternate_minimize(
         dist2 = table[labels, np.arange(data.count)]
         err = float(np.sum(dist2))
         errors.append(err)
-        if np.array_equal(labels, fitted):
+        # Only ``init`` can leave a group empty at a stable labeling; that
+        # group is reseeded below instead of returned empty.
+        if np.array_equal(labels, fitted) and np.all(
+            np.bincount(labels, minlength=n_subspaces)
+        ):
             break
         if len(errors) >= 2 and errors[-2] - err <= tol * max(errors[-2], 1e-300):
             break
@@ -164,9 +168,7 @@ def alternate_minimize(
     # The SVD pass below makes its own N x m temporaries; release the
     # buffer first so peak memory stays that of the SVD pass alone.
     del resid
-    bundle = bundle_from_partition(
-        data, Partition.from_labels(fitted, n_subspaces), max_dim
-    )
+    bundle = bundle_from_partition(data, Partition(fitted, n_subspaces), max_dim)
     partition, trace = partition_from_bundle(data, bundle)
     errors[-1] = float(np.sum(trace.dist2))
     return SolveReport(
@@ -187,7 +189,7 @@ def random_partition(
 ) -> Partition:
     """Uniformly random labeling of points, keyed by (seed, restart)."""
     rng = np.random.default_rng([seed & SEED_MASK, restart])
-    return Partition.from_labels(rng.integers(0, n_groups, size=count), n_groups)
+    return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
 
 def solve_best_model(
@@ -318,8 +320,9 @@ def brute_force_oracle(
             best_error = errors[i]
             best_labels = labels[i]
 
-    best = Partition.from_labels(best_labels, n_subspaces)
-    best_bundle = bundle_from_partition(data, best, max_dim)
+    best_bundle = bundle_from_partition(
+        data, Partition(best_labels, n_subspaces), max_dim
+    )
     partition, _ = partition_from_bundle(data, best_bundle)
     return SolveReport(
         bundle=best_bundle,

@@ -100,5 +100,5 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DataSet, GroundTruth]:
 
     data = normalize_dataset(DataSet(points))
     bundle = Bundle(tuple(Subspace(b) for b in bases), cap_dim=spec.max_dim)
-    partition = Partition.from_labels(labels, spec.n_subspaces)
+    partition = Partition(labels, spec.n_subspaces)
     return data, GroundTruth(bundle=bundle, partition=partition)

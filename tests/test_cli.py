@@ -42,8 +42,12 @@ def test_generate_writes_dataset_and_truth(tmp_path, capsys):
         tuple(Subspace(np.array(b)) for b in truth["bases"]),
         cap_dim=truth["cap_dim"],
     )
-    partition = Partition(tuple(tuple(g) for g in truth["groups"]), truth["count"])
+    labels = np.empty(truth["count"], dtype=int)
+    for g, group in enumerate(truth["groups"]):
+        labels[group] = g
+    partition = Partition(labels, len(truth["groups"]))
     assert partition.count == 8
+    assert partition.groups == tuple(tuple(g) for g in truth["groups"])
     assert bundle_error(data, bundle) <= 1e-10  # noiseless ground truth fits
 
 

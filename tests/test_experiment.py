@@ -3,13 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unionfit import (
     DataSet,
     InvalidSpec,
+    ReductionConfig,
+    SolverConfig,
     config_from_dict,
     load_config,
     load_dataset,
+    normalize_dataset,
     run_experiment,
     save_dataset,
 )
@@ -218,6 +224,39 @@ def test_run_trial_reproduces_experiment_rows(reduction):
         assert {f: getattr(report, f) for f in ROW_FIELDS[1:]} == {
             f: row[f] for f in ROW_FIELDS[1:]
         }
+
+
+@st.composite
+def tiny_trials(draw):
+    """Unit-norm data with N <= 6 and m <= 8, optionally rank-deficient,
+    with duplicated and zero columns, plus a sketch seed."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(3, 8))
+    rank = draw(st.integers(1, n))
+    left = draw(arrays(np.float64, (n, rank), elements=st.floats(-4, 4)))
+    right = draw(arrays(np.float64, (rank, m), elements=st.floats(-4, 4)))
+    pts = left @ right
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)), max_size=2)):
+        pts[:, dst] = pts[:, src]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        pts[:, j] = 0.0
+    data = DataSet(pts)
+    assume(data.frobenius_norm > 0.0)
+    k = draw(st.integers(0, 1))
+    return normalize_dataset(data), k, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tiny_trials())
+def test_lifted_error_never_below_full_space_optimum(trial):
+    """The lifted partition is one of the labelings the full-space oracle
+    scores, so its error can never beat the certified optimum e0."""
+    data, k, sketch_seed = trial
+    reduction = ReductionConfig(r=3)
+    report = run_trial(data, 2, k, reduction, SolverConfig(), sketch_seed)
+    assert report.e0 is not None and report.reduced_certified_optimal
+    assert report.lifted_error >= report.e0
 
 
 def test_hard_invariant_failure_sets_exit_code(monkeypatch):

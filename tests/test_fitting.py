@@ -117,7 +117,7 @@ def test_best_subspace_always_orthonormal():
 
 def test_bundle_from_partition_axis_data():
     data = DataSet(np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0]]))
-    part = Partition(((0, 1), (2, 3)), count=4)
+    part = Partition([0, 0, 1, 1], 2)
     bundle = bundle_from_partition(data, part, 1)
     assert projector_distance(bundle.subspaces[0], Subspace(np.array([[1.0], [0.0]]))) <= 1e-12
     assert projector_distance(bundle.subspaces[1], Subspace(np.array([[0.0], [1.0]]))) <= 1e-12
@@ -126,7 +126,7 @@ def test_bundle_from_partition_axis_data():
 
 def test_bundle_from_partition_empty_group_is_zero_subspace():
     data = DataSet(np.eye(2))
-    part = Partition(((0, 1), ()), count=2)
+    part = Partition([0, 0], 2)
     bundle = bundle_from_partition(data, part, 1)
     assert bundle.subspaces[1].dim == 0
 
@@ -134,7 +134,7 @@ def test_bundle_from_partition_empty_group_is_zero_subspace():
 def test_bundle_from_partition_rejects_wrong_count():
     data = DataSet(np.eye(3))
     with pytest.raises(InvalidPartition):
-        bundle_from_partition(data, Partition(((0, 1),), count=2), 1)
+        bundle_from_partition(data, Partition([0, 0], 1), 1)
 
 
 def test_bundle_from_partition_matches_per_group_svd():
@@ -145,7 +145,7 @@ def test_bundle_from_partition_matches_per_group_svd():
         [q1 @ rng.normal(size=(1, 5)), q2 @ rng.normal(size=(1, 4))]
     ) + rng.normal(scale=0.05, size=(6, 9))
     data = DataSet(pts)
-    part = Partition((tuple(range(5)), tuple(range(5, 9))), count=9)
+    part = Partition(np.repeat([0, 1], [5, 4]), 2)
     bundle = bundle_from_partition(data, part, 1)
     total = 0.0
     for group, fitted in zip(part.groups, bundle):
@@ -181,7 +181,7 @@ def test_partition_from_bundle_tie_goes_to_lowest_index():
     )
     part, trace = partition_from_bundle(data, bundle)
     assert part.groups == ((0,), ())
-    assert trace.chosen[0] == 0
+    assert part.labels[0] == 0
     assert bool(trace.tie_flags[0])
 
 
@@ -200,7 +200,7 @@ def test_partition_from_bundle_matches_bruteforce_table():
     for j in range(data.count):
         dists = [dist2_to_subspace(data.column(j), v) for v in bundle]
         expected = int(np.argmin(dists))
-        assert trace.chosen[j] == expected
+        assert part.labels[j] == expected
         assert trace.dist2[j] == pytest.approx(min(dists), rel=1e-12)
         assert j in part.groups[expected]
     assert bundle_error(data, bundle) == pytest.approx(

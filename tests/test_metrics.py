@@ -156,7 +156,7 @@ def test_bundle_error_additivity_and_generated_equality():
     bundle = Bundle((Subspace(basis[:, :1]), Subspace(basis[:, 1:])), cap_dim=1)
     # any partition-aligned assignment dominates the reassigned error
     for labels in ([0, 0, 1, 1, 0, 1, 0, 1], [1, 1, 1, 0, 0, 0, 0, 0]):
-        part = Partition.from_labels(labels, 2)
+        part = Partition(labels, 2)
         aligned = sum(
             group_error(data.take(g), v) for g, v in zip(part.groups, bundle)
         )

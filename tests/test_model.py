@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from unionfit import (
     bundle_error,
     brute_force_oracle,
     normalize_dataset,
-    validate_partition,
 )
 
 
@@ -119,45 +120,64 @@ def test_normalize_preserves_rank_and_angles():
     assert np.max(np.abs(cos_before - cos_after)) <= 1e-12
 
 
-def test_validate_partition_examples():
-    # 0-based versions of the contract examples
-    assert validate_partition([(0, 1), (2,)], count=3, n_groups=2) is None
-    overlap = validate_partition([(0,), (0, 1)], count=2, n_groups=2)
-    assert overlap is not None and overlap.kind == "overlap" and "0" in overlap.detail
-    gap = validate_partition([(0,), ()], count=2, n_groups=2)
-    assert gap is not None and gap.kind == "gap"
-    wrong = validate_partition([(0, 1)], count=2, n_groups=2)
-    assert wrong is not None and wrong.kind == "wrong-length"
-    out = validate_partition([(0,), (5,)], count=2, n_groups=2)
-    assert out is not None and out.kind == "out-of-range"
-    dup = validate_partition([(0, 0), (1,)], count=2, n_groups=2)
-    assert dup is not None and dup.kind == "duplicate"
-
-
-def test_validate_partition_accepts_partition_objects():
-    part = Partition(((0, 1), (2,)), count=3)
-    assert validate_partition(part, count=3, n_groups=2) is None
-    assert validate_partition(part, count=4, n_groups=2).kind == "gap"
-    assert validate_partition(part, count=3, n_groups=3).kind == "wrong-length"
-
-
 def test_partition_constructor_enforces_invariants():
-    part = Partition(((1, 0), (2,)), count=3)
-    assert part.groups == ((0, 1), (2,))  # groups are kept sorted
-    with pytest.raises(InvalidPartition):
-        Partition(((0,), (0, 1)), count=2)
-    with pytest.raises(InvalidPartition):
-        Partition(((0,), ()), count=2)
+    part = Partition([1, 0, 1], 2)
+    assert part.count == 3 and part.n_groups == 2
+    assert not part.labels.flags.writeable
+    for labels, n_groups in [
+        (np.zeros((2, 2), dtype=int), 2),  # not 1-d
+        ([0, -1], 2),  # negative label
+        ([0, 2], 2),  # label outside 0..n_groups-1
+        ([0, 0], 0),  # no groups
+        ([], 0),
+        ([0.0, 1.0], 2),  # not integers
+    ]:
+        with pytest.raises(InvalidPartition):
+            Partition(labels, n_groups)
+
+
+def test_partition_labels_are_copied():
+    labels = np.array([0, 1, 0])
+    part = Partition(labels, 2)
+    labels[0] = 1
+    assert part.labels.tolist() == [0, 1, 0]
+    assert labels.flags.writeable
 
 
 def test_partition_labels_round_trip():
     labels = np.array([1, 0, 2, 1, 0])
-    part = Partition.from_labels(labels, 3)
+    part = Partition(labels, 3)
     assert part.groups == ((1, 4), (0, 3), (2,))
-    assert np.array_equal(part.labels(), labels)
-    # empty groups survive the round trip
-    part2 = Partition.from_labels([0, 0], 3)
-    assert part2.groups == ((0, 1), (), ())
+    assert all(type(j) is int for g in part.groups for j in g)
+    json.dumps(part.groups)
+    rebuilt = np.empty(part.count, dtype=int)
+    for g, group in enumerate(part.groups):
+        rebuilt[list(group)] = g
+    assert np.array_equal(rebuilt, labels)
+    # trailing empty groups are kept, and no points is a valid partition
+    assert Partition([0, 0], 3).groups == ((0, 1), (), ())
+    empty = Partition(np.zeros(0, dtype=int), 2)
+    assert empty.count == 0 and empty.groups == ((), ())
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m = int(rng.integers(1, 30))
+        labels = rng.integers(0, 4, size=m)
+        groups = Partition(labels, 4).groups
+        assert sorted(j for g in groups for j in g) == list(range(m))
+        for g, group in enumerate(groups):
+            assert list(group) == sorted(group)
+            assert all(labels[j] == g for j in group)
+
+
+def test_partition_equality():
+    part = Partition([0, 1, 1], 2)
+    assert part == Partition(np.array([0, 1, 1], dtype=np.int32), 2)
+    assert part != Partition([0, 1, 1], 3)  # same labels, one more group
+    assert part != Partition([1, 0, 0], 2)  # relabeled groups differ
+    assert part != Partition([0, 1], 2)
+    assert part != [0, 1, 1]
+    with pytest.raises(TypeError):
+        hash(part)
 
 
 def test_subspace_validation():

@@ -64,7 +64,7 @@ def reference_oracle(data: DataSet, n_groups: int, k: int):
     best_error = np.inf
     best_bundle = None
     for labels in itertools.product(range(n_groups), repeat=data.count):
-        candidate = Partition.from_labels(labels, n_groups)
+        candidate = Partition(np.array(labels), n_groups)
         fitted = bundle_from_partition(data, candidate, k)
         err = bundle_error(data, fitted)
         if err < best_error:
@@ -91,7 +91,7 @@ def reference_reseed(partition: Partition, dist2: np.ndarray) -> Partition:
     empties = [i for i, size in enumerate(sizes) if size == 0]
     if not empties:
         return partition
-    labels = partition.labels()
+    labels = partition.labels.copy()
     order = np.argsort(-dist2, kind="stable")
     moved: set[int] = set()
     for target in empties:
@@ -104,7 +104,7 @@ def reference_reseed(partition: Partition, dist2: np.ndarray) -> Partition:
             sizes[target] = 1
             moved.add(j)
             break
-    return Partition.from_labels(labels, len(partition.groups))
+    return Partition(labels, partition.n_groups)
 
 
 def reference_alternate_minimize(data, n_groups, k, init, tol=1e-10, max_iter=100):
@@ -119,7 +119,7 @@ def reference_alternate_minimize(data, n_groups, k, init, tol=1e-10, max_iter=10
         partition, trace = partition_from_bundle(data, bundle)
         err = float(np.sum(trace.dist2))
         errors.append(err)
-        if partition == current:
+        if partition == current and all(partition.groups):
             exit = "fixpoint"
             break
         if len(errors) >= 2 and errors[-2] - err <= tol * max(errors[-2], 1e-300):
@@ -182,14 +182,14 @@ def exactness_inputs():
          {"max_iter": 1}, "max_iter"),
         ("narrow-max-iter-2", narrow, 3, 2, random_partition(24, 3, 7),
          {"max_iter": 2}, "max_iter"),
-        ("k-above-group-size", generic, 3, 3, Partition.from_labels(two_points, 3),
+        ("k-above-group-size", generic, 3, 3, Partition(two_points, 3),
          {}, "fixpoint"),
         ("rank-1-group", line, 2, 2,
-         Partition.from_labels(np.arange(20) >= 6, 2), {}, "fixpoint"),
+         Partition(np.repeat([0, 1], [6, 14]), 2), {}, "fixpoint"),
         ("one-empty-group", small, 2, 1,
-         Partition((tuple(range(8)), ()), count=8), {}, "fixpoint"),
+         Partition(np.zeros(8, dtype=int), 2), {}, "fixpoint"),
         ("two-empty-groups", three, 3, 1,
-         Partition(((), tuple(range(12)), ()), count=12), {}, "fixpoint"),
+         Partition(np.ones(12, dtype=int), 3), {}, "fixpoint"),
         ("group-emptied-mid-run", emptied, 4, 2, random_partition(10, 4, 3), {},
          "fixpoint"),
         ("two-groups-emptied-at-once", emptied_twice, 4, 2,
@@ -294,7 +294,7 @@ def small_am_instances(draw):
     for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
         pts[:, j] = 0.0
     labels = draw(arrays(np.int64, m, elements=st.integers(0, n_groups - 1)))
-    return DataSet(pts), n_groups, k, Partition.from_labels(labels, n_groups)
+    return DataSet(pts), n_groups, k, Partition(labels, n_groups)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -326,7 +326,7 @@ def test_alternate_minimize_ground_truth_init_converges_immediately():
 def test_alternate_minimize_single_group_is_plain_fit():
     rng = np.random.default_rng(31)
     data = DataSet(rng.normal(size=(5, 7)))
-    init = Partition.from_labels(np.zeros(7, dtype=int), 1)
+    init = Partition(np.zeros(7, dtype=int), 1)
     report = alternate_minimize(data, 1, 2, init)
     assert report.iterations == (1,)
     assert report.error == pytest.approx(ek_min_error(data.points, 2), abs=1e-9)
@@ -337,14 +337,14 @@ def test_alternate_minimize_respects_oracle_floor():
     for trial in range(10):
         data = DataSet(rng.normal(size=(4, 6)))
         floor = brute_force_oracle(data, 2, 1).error
-        init = Partition.from_labels(rng.integers(0, 2, size=6), 2)
+        init = Partition(rng.integers(0, 2, size=6), 2)
         report = alternate_minimize(data, 2, 1, init)
         assert report.error >= floor - 1e-9
 
 
 def test_alternate_minimize_validates_inputs():
     data = DataSet(np.eye(4))
-    good = Partition.from_labels([0, 1, 0, 1], 2)
+    good = Partition([0, 1, 0, 1], 2)
     with pytest.raises(InvalidInit):
         alternate_minimize(data, 2, 1, "not a partition")
     with pytest.raises(InvalidInit):
@@ -361,12 +361,15 @@ def test_alternate_minimize_repairs_empty_groups():
     rng = np.random.default_rng(61)
     data = DataSet(rng.normal(size=(4, 8)))
     # start with everything in one group; the other must be reseeded
-    init = Partition((tuple(range(8)), ()), count=8)
+    init = Partition(np.zeros(8, dtype=int), 2)
     report = alternate_minimize(data, 2, 1, init)
     trace = report.error_traces[0]
     assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
     assert sum(len(g) for g in report.partition.groups) == 8
+    assert all(report.partition.groups)
+    assert report.iterations[0] > 1
     assert report.error == pytest.approx(bundle_error(data, report.bundle), abs=1e-12)
+    assert report.error == pytest.approx(brute_force_oracle(data, 2, 1).error)
 
 
 def test_monotone_descent_within_runs():
