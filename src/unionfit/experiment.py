@@ -23,6 +23,7 @@ from .model import SEED_MASK, DataSet, normalize_dataset
 from .pipeline import (
     LiftReport,
     SolverConfig,
+    _require_int,
     eta_admissibility_epsilon,
     min_reduced_dim,
     reduce_solve_lift,
@@ -66,8 +67,7 @@ class ReductionConfig:
         if fixed and auto:
             raise InvalidSpec("give either r or (eta, delta), not both")
         if fixed:
-            if self.r < 1:
-                raise InvalidSpec("r must be at least 1")
+            _require_int("r", self.r, minimum=1)
         else:
             if self.eta is None or self.delta is None:
                 raise InvalidSpec("auto mode needs both eta and delta")
@@ -135,6 +135,8 @@ class ExperimentConfig:
         if (self.synthetic is None) == (self.dataset_file is None):
             raise InvalidSpec("exactly one dataset source (synthetic or file) "
                               "must be configured")
+        for name in ("n_subspaces", "max_dim", "trials", "master_seed"):
+            _require_int(name, getattr(self, name))
         if self.trials < 0:
             raise InvalidSpec("trials must be nonnegative")
         if self.n_subspaces < 1 or self.max_dim < 1:
@@ -218,11 +220,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     output = _section(raw, "output")
     return ExperimentConfig(
-        n_subspaces=int(n_subspaces),
-        max_dim=int(max_dim),
+        n_subspaces=n_subspaces,
+        max_dim=max_dim,
         reduction=reduction,
-        trials=int(raw.get("trials", 0)),
-        master_seed=int(raw.get("master_seed", 0)),
+        trials=raw.get("trials", 0),
+        master_seed=raw.get("master_seed", 0),
         synthetic=synthetic,
         dataset_file=dataset_file,
         file_header=file_header,

@@ -9,11 +9,12 @@ compared against the closed-form budget (1+eps) e0 + eps sqrt(l (d-k)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, OutOfRange
+from .errors import DimensionMismatch, InvalidSpec, NotNormalized, OutOfRange
 from .fitting import bundle_from_partition
 from .metrics import _as_columns, bundle_error, ek_min_error
 from .model import Bundle, DataSet, Partition
@@ -34,9 +35,26 @@ NORMALIZATION_TOL = 1e-9
 BOUND_SLACK = 1e-9
 
 
+def _require_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise InvalidSpec unless ``value`` is an integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidSpec(f"{name} must be at least {minimum}, got {value}")
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the reduced-space solve."""
+    """Knobs for the reduced-space solve, validated on construction."""
 
     restarts: int = 50
     tol: float = DEFAULT_TOL
@@ -44,6 +62,17 @@ class SolverConfig:
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
     seed: int = 0
     stop_below: float | None = None
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iter", "oracle_budget"):
+            _require_int(name, getattr(self, name), minimum=1)
+        _require_int("seed", self.seed)
+        if not _is_finite_number(self.tol) or self.tol < 0:
+            raise InvalidSpec(f"tol must be a finite number >= 0, got {self.tol!r}")
+        if self.stop_below is not None and not _is_finite_number(self.stop_below):
+            raise InvalidSpec(
+                f"stop_below must be a finite number, got {self.stop_below!r}"
+            )
 
 
 @dataclass(frozen=True)

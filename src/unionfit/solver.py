@@ -16,7 +16,7 @@ from .fitting import (
     partition_from_bundle,
 )
 from .metrics import bundle_error
-from .model import SEED_MASK, Bundle, DataSet, Partition
+from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
@@ -29,16 +29,27 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # At N = 20, m = 12, l = 2 a batch holds 136 labelings.
 ORACLE_BATCH_FLOATS = 1 << 16
 
+# solve_best_model refits a restart with the SVD only when its Gram-fit
+# error is within REFIT_REL * best + REFIT_ABS * ||X||_F^2 of the best
+# restart's.  The returned model equals that of refitting every restart
+# whenever a labeling's Gram-fit and SVD-fit errors agree within half of
+# this slack.
+REFIT_REL = 1e-9
+REFIT_ABS = 1e-12
+
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output; ``error`` always equals the bundle error of ``bundle``.
+    """Solver output; ``error`` equals the bundle error of ``bundle``
+    (up to rounding for ``alternate_minimize(refit=False)``).
 
     ``certified_optimal`` is True only for reports produced by the
     exhaustive oracle.  ``iterations`` and ``error_traces`` hold one entry
     per restart (empty for the oracle); ``winner`` indexes the restart the
-    returned model came from.  ``seed`` is meaningful only for reports
-    produced by :func:`solve_best_model`.
+    returned model came from.  A trace lists the error after each
+    iteration; its last entry is the SVD-refit error of the restart when
+    that restart was refitted, else its last Gram-fit error.  ``seed`` is
+    meaningful only for reports produced by :func:`solve_best_model`.
     """
 
     bundle: Bundle
@@ -90,6 +101,15 @@ def _reseed_empty_groups(
     return labels
 
 
+def _svd_refit(
+    data: DataSet, partition: Partition, max_dim: int
+) -> tuple[Bundle, Partition, float]:
+    """SVD fit of every group, then one nearest-subspace assignment."""
+    bundle = bundle_from_partition(data, partition, max_dim)
+    assigned, trace = partition_from_bundle(data, bundle)
+    return bundle, assigned, float(np.sum(trace.dist2))
+
+
 def alternate_minimize(
     data: DataSet,
     n_subspaces: int,
@@ -97,6 +117,8 @@ def alternate_minimize(
     init: Partition,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    refit: bool = True,
 ) -> SolveReport:
     """Alternate group-wise fitting and nearest-subspace assignment.
 
@@ -115,6 +137,11 @@ def alternate_minimize(
     (``bundle_from_partition``) and assigned once
     (``partition_from_bundle``), so the returned bundle, partition and
     error, which replaces the last trace entry, are those of the SVD path.
+
+    With ``refit=False`` that closing pass is skipped: the report holds the
+    last Gram fits as ``bundle``, the labels they were fitted from as
+    ``partition`` and the loop's last error as ``error``.
+    ``solve_best_model`` uses this to refit only restarts that can win.
     """
     _check_model_dims(data, n_subspaces, max_dim)
     if max_iter < 1:
@@ -132,6 +159,7 @@ def alternate_minimize(
     resid = np.empty_like(points)
     sq_norms = np.sum(points * points, axis=0)
     fitted_members: list[np.ndarray | None] = [None] * n_subspaces
+    bases: list[np.ndarray | None] = [None] * n_subspaces
     labels = init.labels
     errors: list[float] = []
     for _ in range(max_iter):
@@ -143,7 +171,7 @@ def alternate_minimize(
             ):
                 continue
             fitted_members[g] = members
-            q = gram_basis(points[:, members], max_dim)
+            q = bases[g] = gram_basis(points[:, members], max_dim)
             if q.shape[1] == 0:
                 table[g] = sq_norms
                 continue
@@ -168,9 +196,11 @@ def alternate_minimize(
     # The SVD pass below makes its own N x m temporaries; release the
     # buffer first so peak memory stays that of the SVD pass alone.
     del resid
-    bundle = bundle_from_partition(data, Partition(fitted, n_subspaces), max_dim)
-    partition, trace = partition_from_bundle(data, bundle)
-    errors[-1] = float(np.sum(trace.dist2))
+    partition = Partition(fitted, n_subspaces)
+    if refit:
+        bundle, partition, errors[-1] = _svd_refit(data, partition, max_dim)
+    else:
+        bundle = Bundle(tuple(Subspace(q) for q in bases), cap_dim=max_dim)
     return SolveReport(
         bundle=bundle,
         partition=partition,
@@ -192,6 +222,15 @@ def random_partition(
     return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
 
+def _relabeling_key(labels: np.ndarray) -> bytes:
+    """Labels renumbered in order of first appearance: two labelings get
+    the same key iff one is a relabeling of the other."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse].tobytes()
+
+
 def solve_best_model(
     data: DataSet,
     n_subspaces: int,
@@ -209,38 +248,65 @@ def solve_best_model(
     With ``stop_below`` set, remaining restarts are skipped as soon as a
     model at or below that error is found (the result is still
     deterministic); by default all restarts run.
+
+    Restarts run with ``refit=False``.  Only restarts that can win are
+    refitted with the SVD: those whose Gram-fit error lies within
+    ``REFIT_REL * best + REFIT_ABS * ||X||_F^2`` of the best one, except a
+    relabeling of an earlier such restart, whose fits and errors would be
+    bit-identical.  Under ``stop_below`` a restart within that slack of
+    the threshold is refitted too, to decide the stop.  The result is the
+    first strict minimum of the refitted errors: the model that refitting
+    every restart would pick whenever each labeling's Gram-fit and
+    SVD-fit errors agree within half the slack.
     """
     if restarts < 1:
         raise OutOfRange("restarts must be at least 1")
     _check_model_dims(data, n_subspaces, max_dim)
-    best: SolveReport | None = None
-    best_index = 0
-    iterations: list[int] = []
-    traces: list[tuple[float, ...]] = []
-    used = 0
+    floor = REFIT_ABS * data.frobenius_norm**2
+
+    def near(error: float, target: float) -> bool:
+        return error <= target + REFIT_REL * abs(target) + floor
+
+    runs: list[SolveReport] = []
+    refits: dict[int, tuple[Bundle, Partition, float]] = {}
     for r in range(restarts):
         init = random_partition(data.count, n_subspaces, seed, r)
-        report = alternate_minimize(
-            data, n_subspaces, max_dim, init, tol=tol, max_iter=max_iter
+        run = alternate_minimize(
+            data, n_subspaces, max_dim, init, tol=tol, max_iter=max_iter,
+            refit=False,
         )
-        used += 1
-        iterations.append(report.iterations[0])
-        traces.append(report.error_traces[0])
-        if best is None or report.error < best.error:
-            best = report
-            best_index = r
-        if stop_below is not None and best.error <= stop_below:
-            break
+        runs.append(run)
+        if stop_below is not None and near(run.error, stop_below):
+            refits[r] = _svd_refit(data, run.partition, max_dim)
+            if refits[r][2] <= stop_below:
+                break
+
+    best = min(run.error for run in runs)
+    seen: set[bytes] = set()
+    for r, run in enumerate(runs):
+        if not near(run.error, best):
+            continue
+        key = _relabeling_key(run.partition.labels)
+        if key not in seen and r not in refits:
+            refits[r] = _svd_refit(data, run.partition, max_dim)
+        seen.add(key)
+    winner = min(sorted(refits), key=lambda r: refits[r][2])
+    bundle, partition, error = refits[winner]
+    traces = tuple(
+        run.error_traces[0][:-1] + (refits[r][2],) if r in refits
+        else run.error_traces[0]
+        for r, run in enumerate(runs)
+    )
     return SolveReport(
-        bundle=best.bundle,
-        partition=best.partition,
-        error=best.error,
-        restarts_used=used,
-        iterations=tuple(iterations),
+        bundle=bundle,
+        partition=partition,
+        error=error,
+        restarts_used=len(runs),
+        iterations=tuple(run.iterations[0] for run in runs),
         seed=seed,
         certified_optimal=False,
-        error_traces=tuple(traces),
-        winner=best_index,
+        error_traces=traces,
+        winner=winner,
     )
 
 

@@ -201,6 +201,60 @@ def test_experiment_command_rejects_bad_config(tmp_path):
         assert run_cli("experiment", "--config", cfg_path) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"trials": [1]},
+    {"trials": 1.5},
+    {"master_seed": [3]},
+    {"master_seed": 1.5},
+    {"model": {"n_subspaces": [2], "max_dim": 1}},
+    {"model": {"n_subspaces": 2, "max_dim": "1"}},
+    {"reduction": {"r": 2.5}},
+    {"reduction": {"r": True}},
+    {"solver": {"restarts": "x"}},
+    {"solver": {"restarts": 0, "oracle_budget": 1}},
+    {"solver": {"max_iter": True}},
+    {"solver": {"seed": 0.5}},
+    {"solver": {"tol": -1e-3}},
+    {"solver": {"stop_below": "inf"}},
+], ids=repr)
+def test_experiment_rejects_bad_numbers_before_any_trial(tmp_path, capsys, bad):
+    # Every config here runs its first trial through the e0 oracle
+    # (2^6 labelings) unless rejected first.
+    rows = tmp_path / "rows.csv"
+    cfg = {
+        "dataset": {"synthetic": {"ambient_dim": 8, "n_subspaces": 2,
+                                  "max_dim": 1, "n_points": 6}},
+        "reduction": {"r": 3},
+        "trials": 1,
+        "output": {"rows": str(rows)},
+        **bad,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", cfg_path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not rows.exists()
+
+
+def test_experiment_non_integer_trials_exits_2_without_traceback(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": {"synthetic": {"ambient_dim": 8, "n_subspaces": 2,
+                                  "max_dim": 1, "n_points": 6}},
+        "reduction": {"r": 3},
+        "trials": [1],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unionfit.cli", "experiment", "--config",
+         str(cfg_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "trials must be an integer" in proc.stderr
+
+
 def test_invalid_dataset_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\nnot,a,number\n")

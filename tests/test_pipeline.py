@@ -167,7 +167,7 @@ def test_reduce_solve_lift_identity_embedding_is_lossless():
     spec_data = SyntheticSpec(ambient_dim=6, n_subspaces=2, max_dim=1,
                               n_points=8, noise_sigma=0.02, seed=33)
     data, _ = generate_synthetic(spec_data)
-    cfg = SolverConfig(restarts=10, seed=5, oracle_budget=0)  # force the heuristic
+    cfg = SolverConfig(restarts=10, seed=5, oracle_budget=1)  # force the heuristic
     spec = RandomSpec("gaussian", reduced_dim=6, ambient_dim=6, seed=0)
     lift = reduce_solve_lift(data, spec, 2, 1, cfg, matrix=np.eye(6))
     full = solve_best_model(data, 2, 1, restarts=10, seed=5)

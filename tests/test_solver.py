@@ -276,6 +276,120 @@ def test_solve_best_model_matches_reference_loop():
             assert np.array_equal(ours.basis, theirs.basis)
 
 
+def count_refits(monkeypatch):
+    """Count the SVD refits made through the solver module."""
+    calls = []
+    fit = solver.bundle_from_partition
+
+    def counted(data, partition, k):
+        calls.append(partition.labels.copy())
+        return fit(data, partition, k)
+
+    monkeypatch.setattr(solver, "bundle_from_partition", counted)
+    return calls
+
+
+def assert_solve_matches_refit_of_every_restart(
+    data, n_groups, k, restarts, seed, stop_below=None
+):
+    """Compare solve_best_model with the reference loop refitted after
+    every restart, which keeps the first strict minimum of the refitted
+    errors and stops once it is at or below ``stop_below``."""
+    report = solve_best_model(data, n_groups, k, restarts=restarts, seed=seed,
+                              stop_below=stop_below)
+    best = None
+    for r in range(restarts):
+        init = random_partition(data.count, n_groups, seed, r)
+        bundle, partition, errors, _ = reference_alternate_minimize(
+            data, n_groups, k, init
+        )
+        if best is None or errors[-1] < best[0]:
+            best = (errors[-1], bundle, partition, r)
+        if stop_below is not None and best[0] <= stop_below:
+            break
+    error, bundle, partition, winner = best
+    assert report.restarts_used == r + 1
+    assert report.error == error
+    assert report.error_traces[report.winner][-1] == error
+    assert report.winner == winner
+    assert report.partition == partition
+    for ours, theirs in zip(report.bundle, bundle, strict=True):
+        assert np.array_equal(ours.basis, theirs.basis)
+    return report
+
+
+def test_solve_best_model_refits_only_the_winner(monkeypatch):
+    data = DataSet(np.random.default_rng(211).normal(size=(6, 20)))
+    runs = [alternate_minimize(data, 3, 2, random_partition(20, 3, 4, r),
+                               refit=False) for r in range(6)]
+    refits = count_refits(monkeypatch)
+    report = solve_best_model(data, 3, 2, restarts=6, seed=4)
+    assert len(refits) == 1
+    assert np.array_equal(refits[0], runs[report.winner].partition.labels)
+    assert report.iterations == tuple(run.iterations[0] for run in runs)
+    # Restarts that were not refitted keep their last Gram-fit error.
+    for r, run in enumerate(runs):
+        if r != report.winner:
+            assert report.error_traces[r] == run.error_traces[0]
+    assert_solve_matches_refit_of_every_restart(data, 3, 2, 6, 4)
+
+
+def test_solve_best_model_relabelings_refit_once_first_wins(monkeypatch):
+    # Restarts 1 and 5 stop at two labelings of one partition, the best
+    # one; restarts 0 and 2 stop 3e-5 relatively above it.
+    data = DataSet(np.random.default_rng(6).normal(size=(5, 12)))
+    runs = [alternate_minimize(data, 2, 1, random_partition(12, 2, 6, r),
+                               refit=False) for r in range(6)]
+    assert runs[1].error == runs[5].error
+    assert not np.array_equal(runs[1].partition.labels, runs[5].partition.labels)
+    assert np.array_equal(runs[1].partition.labels, 1 - runs[5].partition.labels)
+    refits = count_refits(monkeypatch)
+    report = solve_best_model(data, 2, 1, restarts=6, seed=6)
+    assert len(refits) == 1
+    assert np.array_equal(refits[0], runs[1].partition.labels)
+    assert report.winner == 1
+    assert_solve_matches_refit_of_every_restart(data, 2, 1, 6, 6)
+
+
+def test_solve_best_model_exact_ties_keep_the_first_restart(monkeypatch):
+    # With k = 0 every labeling scores the summed squared norms exactly;
+    # after one iteration each restart still holds its random labels, so
+    # several distinct labelings are refitted and tie exactly.
+    data = DataSet(np.random.default_rng(5).normal(size=(3, 8)))
+    refits = count_refits(monkeypatch)
+    report = solve_best_model(data, 2, 0, restarts=5, seed=1, max_iter=1)
+    assert len({solver._relabeling_key(labels) for labels in refits}) >= 2
+    assert report.error == float(np.sum(np.sum(data.points**2, axis=0)))
+    assert report.winner == 0
+
+
+def test_solve_best_model_rounding_level_ties_match_refit_of_every_restart(
+    monkeypatch,
+):
+    # Noiseless lines plus zero points: a zero point fits every group
+    # exactly, so restarts stop at several distinct exact partitions whose
+    # errors differ only by rounding, and each of them is refitted.
+    spec = SyntheticSpec(ambient_dim=6, n_subspaces=3, max_dim=1, n_points=12,
+                         seed=12)
+    pts = np.concatenate([generate_synthetic(spec)[0].points, np.zeros((6, 3))],
+                         axis=1)
+    data = DataSet(pts)
+    refits = count_refits(monkeypatch)
+    report = assert_solve_matches_refit_of_every_restart(data, 3, 1, 12, 2)
+    distinct = {solver._relabeling_key(labels) for labels in refits}
+    assert len(distinct) == len(refits) >= 2
+    assert report.error <= 1e-25
+    # Restart 0's Gram-fit error lies above its SVD-fit error.  With that
+    # SVD error as stop_below, restart 0 must be refitted and end the solve.
+    first = random_partition(15, 3, 2, 0)
+    threshold = alternate_minimize(data, 3, 1, first).error
+    assert alternate_minimize(data, 3, 1, first, refit=False).error > threshold
+    report = assert_solve_matches_refit_of_every_restart(
+        data, 3, 1, 12, 2, stop_below=threshold
+    )
+    assert report.restarts_used == 1
+
+
 @st.composite
 def small_am_instances(draw):
     """Small random data, optionally rank-deficient, with duplicated and
@@ -312,6 +426,64 @@ def test_alternate_minimize_invariants(instance):
     assert report.partition == nearest
     if n_groups**data.count <= 512:
         assert brute_force_oracle(data, n_groups, k).error <= report.error + 1e-9
+
+
+@st.composite
+def gaussian_instances(draw, tie_free=False):
+    """Gaussian points from a drawn seed, l in {2, 3}, 1 <= k < N.
+
+    With ``tie_free`` there are more than l * k points, so every labeling
+    has a group that no k-dimensional subspace fits exactly, and distinct
+    labelings do not tie at rounding level.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 6))
+    n_groups = draw(st.integers(2, 3))
+    k = draw(st.integers(1, min(2, n - 1) if tie_free else n - 1))
+    low = n_groups * k + 1 if tie_free else 4
+    m = draw(st.integers(low, low + 3 if tie_free else 10))
+    return DataSet(np.random.default_rng(seed).normal(size=(n, m))), n_groups, k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gaussian_instances(), st.data())
+def test_alternate_minimize_invariant_under_label_permutation(instance, drawn):
+    data, n_groups, k = instance
+    labels = drawn.draw(arrays(np.int64, data.count,
+                               elements=st.integers(0, n_groups - 1)))
+    perm = np.array(drawn.draw(st.permutations(range(n_groups))))
+    report = alternate_minimize(data, n_groups, k, Partition(labels, n_groups))
+    permuted = alternate_minimize(data, n_groups, k,
+                                  Partition(perm[labels], n_groups))
+    assert permuted.error == report.error
+    assert permuted.iterations == report.iterations
+    assert set(permuted.partition.groups) == set(report.partition.groups)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gaussian_instances(), st.integers(-8, 8), st.integers(0, 2**16))
+def test_solve_best_model_scales_exactly_with_the_data(instance, j, seed):
+    data, n_groups, k = instance
+    c = 2.0**j
+    report = solve_best_model(data, n_groups, k, restarts=3, seed=seed)
+    scaled = solve_best_model(DataSet(c * data.points), n_groups, k, restarts=3,
+                              seed=seed)
+    assert scaled.error == c * c * report.error
+    assert scaled.partition == report.partition
+    assert scaled.winner == report.winner
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gaussian_instances(tie_free=True), st.integers(0, 2**32 - 1))
+def test_oracle_invariant_under_rotation(instance, rotation_seed):
+    data, n_groups, k = instance
+    q, _ = np.linalg.qr(
+        np.random.default_rng(rotation_seed).normal(size=(data.ambient_dim,) * 2)
+    )
+    report = brute_force_oracle(data, n_groups, k)
+    rotated = brute_force_oracle(DataSet(q @ data.points), n_groups, k)
+    assert rotated.partition == report.partition
+    assert rotated.error == pytest.approx(report.error, rel=1e-9)
 
 
 def test_alternate_minimize_ground_truth_init_converges_immediately():
