@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,14 +30,8 @@ from .pipeline import (
     min_reduced_dim,
     theorem_bound,
 )
-from .projection import RandomSpec, c0, empirical_concentration
-from .solver import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_ORACLE_BUDGET,
-    DEFAULT_TOL,
-    brute_force_oracle,
-    solve_best_model,
-)
+from .projection import DISTRIBUTIONS, GAUSSIAN, RandomSpec, c0, empirical_concentration
+from .solver import brute_force_oracle
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -62,9 +57,7 @@ def _solve_payload(report) -> dict:
 
 
 def cmd_generate(args) -> int:
-    balance = None
-    if args.balance:
-        balance = tuple(int(c) for c in args.balance.split(","))
+    balance = [int(c) for c in args.balance.split(",")] if args.balance else None
     spec = SyntheticSpec(
         ambient_dim=args.ambient_dim,
         n_subspaces=args.subspaces,
@@ -75,8 +68,6 @@ def cmd_generate(args) -> int:
         balance=balance,
     )
     data, truth = generate_synthetic(spec)
-    if not args.out:
-        raise UnionFitError("generate needs --out PATH for the dataset file")
     save_dataset(data, args.out)
     truth_path = args.truth or f"{args.out}.truth.json"
     with open(truth_path, "w") as fh:
@@ -87,19 +78,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _solver_config(args, **extra) -> SolverConfig:
+    return SolverConfig(restarts=args.restarts, tol=args.tol,
+                        max_iter=args.max_iter, seed=args.seed, **extra)
+
+
 def cmd_solve(args) -> int:
+    cfg = _solver_config(args)
     data = load_dataset(args.data, header=args.header)
     if args.normalize:
         data = normalize_dataset(data)
-    report = solve_best_model(
-        data,
-        args.subspaces,
-        args.max_dim,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    report = cfg.solve(data, args.subspaces, args.max_dim)
     _emit(_solve_payload(report), args.out)
     return 0
 
@@ -108,26 +97,18 @@ def cmd_oracle(args) -> int:
     data = load_dataset(args.data, header=args.header)
     if args.normalize:
         data = normalize_dataset(data)
-    report = brute_force_oracle(
-        data, args.subspaces, args.max_dim, budget=args.budget
-    )
+    report = brute_force_oracle(data, args.subspaces, args.max_dim, budget=args.budget)
     _emit(_solve_payload(report), args.out)
     return 0
 
 
 def cmd_reduce_solve(args) -> int:
-    data = normalize_dataset(load_dataset(args.data, header=args.header))
     reduction = ReductionConfig(
         distribution=args.dist, r=args.r, eta=args.eta, delta=args.delta,
         epsilon=args.epsilon,
     )
-    cfg = SolverConfig(
-        restarts=args.restarts,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        oracle_budget=args.oracle_budget,
-        seed=args.seed,
-    )
+    cfg = _solver_config(args, oracle_budget=args.oracle_budget)
+    data = normalize_dataset(load_dataset(args.data, header=args.header))
     report = run_trial(data, args.subspaces, args.max_dim, reduction, cfg,
                        sketch_seed=args.seed)
     payload = {f: getattr(report, f) for f in ROW_FIELDS[1:]}
@@ -139,25 +120,16 @@ def cmd_reduce_solve(args) -> int:
 
 def cmd_bounds(args) -> int:
     payload: dict = {}
+    shape = (args.subspaces, args.rank, args.max_dim)
     if args.epsilon is not None:
         payload["c0"] = c0(args.epsilon)
-    if (
-        args.epsilon is not None
-        and args.e0 is not None
-        and None not in (args.subspaces, args.rank, args.max_dim)
-    ):
-        payload["theorem_bound"] = theorem_bound(
-            args.e0, args.epsilon, args.subspaces, args.rank, args.max_dim
-        )
-    if args.eta is not None and None not in (args.subspaces, args.rank,
-                                             args.max_dim):
-        payload["eta_epsilon"] = eta_admissibility_epsilon(
-            args.eta, args.subspaces, args.rank, args.max_dim
-        )
-        if args.delta is not None and args.points is not None:
+    if None not in (args.epsilon, args.e0, *shape):
+        payload["theorem_bound"] = theorem_bound(args.e0, args.epsilon, *shape)
+    if None not in (args.eta, *shape):
+        payload["eta_epsilon"] = eta_admissibility_epsilon(args.eta, *shape)
+        if None not in (args.delta, args.points):
             payload["min_reduced_dim"] = min_reduced_dim(
-                args.eta, args.delta, args.subspaces, args.rank, args.max_dim,
-                args.points,
+                args.eta, args.delta, *shape, args.points
             )
     if not payload:
         raise UnionFitError(
@@ -171,14 +143,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    if args.rows or args.summary:
-        from dataclasses import replace
-
-        cfg = replace(
-            cfg,
-            rows_path=args.rows or cfg.rows_path,
-            summary_path=args.summary or cfg.summary_path,
-        )
+    cfg = replace(cfg, rows_path=args.rows or cfg.rows_path,
+                  summary_path=args.summary or cfg.summary_path)
     result = run_experiment(cfg)
     totals = result.summary["totals"]
     violations = result.summary["violations"]
@@ -191,12 +157,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check_concentration(args) -> int:
-    spec = RandomSpec(
-        distribution=args.dist,
-        reduced_dim=args.r,
-        ambient_dim=args.ambient_dim,
-        seed=args.seed,
-    )
+    spec = RandomSpec(args.dist, args.r, args.ambient_dim, seed=args.seed)
     rng = np.random.default_rng([args.seed & SEED_MASK, 0xC0C0])
     vectors = []
     for _ in range(args.vectors):
@@ -217,11 +178,12 @@ def cmd_check_concentration(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="solver convergence tolerance")
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", type=int, default=0, help="master seed")
+
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", default=None,
+                         help="output path (default: standard output)")
 
     data_opts = argparse.ArgumentParser(add_help=False)
     data_opts.add_argument("--data", required=True, help="dataset CSV, one point per row")
@@ -234,6 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     model_opts.add_argument("-k", "--max-dim", type=int, required=True,
                             help="dimension cap per subspace")
 
+    solver = SolverConfig()
+    solver_opts = argparse.ArgumentParser(add_help=False)
+    solver_opts.add_argument("--restarts", type=int, default=solver.restarts)
+    solver_opts.add_argument("--max-iter", type=int, default=solver.max_iter)
+    solver_opts.add_argument("--tol", type=float, default=solver.tol,
+                             help="solver convergence tolerance")
+
     parser = argparse.ArgumentParser(
         prog="unionfit",
         description="Fit unions of low-dimensional subspaces, with optional "
@@ -241,11 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[seed_opt, model_opts],
                        help="write a synthetic dataset plus ground-truth sidecar")
+    p.add_argument("--out", required=True, help="dataset CSV path")
     p.add_argument("--ambient-dim", type=int, required=True)
-    p.add_argument("-l", "--subspaces", type=int, required=True)
-    p.add_argument("-k", "--max-dim", type=int, required=True)
     p.add_argument("-m", "--points", type=int, required=True)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--balance", default=None,
@@ -254,39 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-truth JSON path (default: OUT.truth.json)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", parents=[common, data_opts, model_opts],
+    p = sub.add_parser("solve",
+                       parents=[seed_opt, out_opt, data_opts, model_opts, solver_opts],
                        help="multi-restart alternating solve in full dimension")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--normalize", action="store_true",
                    help="scale the data to unit Frobenius norm first")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", parents=[common, data_opts, model_opts],
+    p = sub.add_parser("oracle", parents=[out_opt, data_opts, model_opts],
                        help="certified optimum by exhaustive enumeration")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+    p.add_argument("--budget", type=int, default=solver.oracle_budget,
                    help="maximum l^m; one labeling per label permutation "
                         "class (about l^m/l!) is actually scored")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("reduce-solve", parents=[common, data_opts, model_opts],
+    p = sub.add_parser("reduce-solve",
+                       parents=[seed_opt, out_opt, data_opts, model_opts, solver_opts],
                        help="sketch, solve in low dimension, lift the partition")
-    p.add_argument("--dist", choices=["gaussian", "bernoulli"],
-                   default="gaussian")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN)
     p.add_argument("--r", type=int, default=None, help="sketch dimension")
     p.add_argument("--eta", type=float, default=None,
                    help="target excess error (auto r)")
     p.add_argument("--delta", type=float, default=None,
                    help="failure probability for auto r")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="concentration epsilon for the bound column")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+                   help="concentration epsilon for the bound column (fixed r)")
+    p.add_argument("--oracle-budget", type=int, default=solver.oracle_budget)
     p.set_defaults(func=cmd_reduce_solve)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[out_opt],
                        help="print c0, the error bound, and the minimal sketch "
                             "dimension for given parameters")
     p.add_argument("--epsilon", type=float, default=None)
@@ -299,17 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--points", type=int, default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment",
                        help="run a config-driven trial batch with CSV/JSON reports")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--rows", default=None, help="override rows CSV path")
     p.add_argument("--summary", default=None, help="override summary JSON path")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("check-concentration", parents=[common],
+    p = sub.add_parser("check-concentration", parents=[seed_opt, out_opt],
                        help="empirical failure rate of the norm-concentration window")
-    p.add_argument("--dist", choices=["gaussian", "bernoulli"],
-                   default="gaussian")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ambient-dim", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)

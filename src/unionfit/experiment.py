@@ -16,14 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import (
+    InvalidSpec,
+    check_model_dims,
+    require_choice,
+    require_instance,
+    require_int,
+    require_unit_interval,
+)
 from .io import load_dataset
 from .metrics import bundle_error
 from .model import SEED_MASK, DataSet, normalize_dataset
 from .pipeline import (
     LiftReport,
     SolverConfig,
-    _require_int,
     eta_admissibility_epsilon,
     min_reduced_dim,
     reduce_solve_lift,
@@ -47,7 +53,8 @@ ROW_FIELDS = (
 @dataclass(frozen=True)
 class ReductionConfig:
     """Sketch settings: either a fixed r, or (eta, delta) to derive both
-    r and the bound epsilon from the closed-form minimum."""
+    r and the bound epsilon from the closed-form minimum.  In (eta, delta)
+    mode epsilon is derived, so giving one is an error."""
 
     distribution: str = "gaussian"
     r: int | None = None
@@ -56,21 +63,21 @@ class ReductionConfig:
     epsilon: float | None = None  # bound epsilon when r is fixed
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise InvalidSpec(f"unknown distribution {self.distribution!r}")
+        require_choice("distribution", self.distribution, DISTRIBUTIONS)
         for name in ("epsilon", "eta", "delta"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < 1.0:
-                raise InvalidSpec(f"{name} must lie in (0, 1), got {value}")
+            if getattr(self, name) is not None:
+                require_unit_interval(name, getattr(self, name), InvalidSpec)
         fixed = self.r is not None
         auto = self.eta is not None or self.delta is not None
         if fixed and auto:
             raise InvalidSpec("give either r or (eta, delta), not both")
         if fixed:
-            _require_int("r", self.r, minimum=1)
-        else:
-            if self.eta is None or self.delta is None:
-                raise InvalidSpec("auto mode needs both eta and delta")
+            require_int("r", self.r, minimum=1)
+        elif self.eta is None or self.delta is None:
+            raise InvalidSpec("auto mode needs both eta and delta")
+        elif self.epsilon is not None:
+            raise InvalidSpec("epsilon is derived from eta in (eta, delta) mode; "
+                              "remove it")
 
 
 def run_trial(
@@ -135,12 +142,24 @@ class ExperimentConfig:
         if (self.synthetic is None) == (self.dataset_file is None):
             raise InvalidSpec("exactly one dataset source (synthetic or file) "
                               "must be configured")
-        for name in ("n_subspaces", "max_dim", "trials", "master_seed"):
-            _require_int(name, getattr(self, name))
-        if self.trials < 0:
-            raise InvalidSpec("trials must be nonnegative")
-        if self.n_subspaces < 1 or self.max_dim < 1:
-            raise InvalidSpec("model needs n_subspaces >= 1 and max_dim >= 1")
+        require_int("trials", self.trials, minimum=0)
+        require_int("master_seed", self.master_seed)
+        if self.synthetic is not None:
+            _check_dims(self, self.synthetic.n_points, self.synthetic.ambient_dim)
+        else:
+            require_int("n_subspaces", self.n_subspaces, minimum=1)
+            require_int("max_dim", self.max_dim, minimum=0)
+        for name in ("dataset_file", "rows_path", "summary_path"):
+            if getattr(self, name) is not None:
+                require_instance(name, getattr(self, name), (str, Path))
+        require_instance("file_header", self.file_header, (bool,))
+
+
+def _check_dims(cfg: ExperimentConfig, count: int, ambient_dim: int) -> None:
+    """The solvers' model rule for the data and, with a fixed r, its sketch."""
+    for dim in (ambient_dim, cfg.reduction.r):
+        if dim is not None:
+            check_model_dims(cfg.n_subspaces, cfg.max_dim, count, dim, InvalidSpec)
 
 
 @dataclass
@@ -156,13 +175,25 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _section(raw: dict, key: str) -> dict:
-    """``raw[key]`` as a JSON object; a missing or null section is empty."""
+def _check_keys(section: dict, known, where: str) -> None:
+    unknown = set(section) - set(known)
+    if unknown:
+        raise InvalidSpec(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(raw: dict, key: str, known=None) -> dict:
+    """``raw[key]`` as a JSON object with no key outside ``known`` (a
+    dataclass checks its own keys) and no seed; missing or null is empty."""
     value = raw.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise InvalidSpec(f"config section {key!r} must be a JSON object")
+    if known is not None:
+        _check_keys(value, known, repr(key))
+    if "seed" in value:
+        raise InvalidSpec(f"{key} seed is derived from master_seed; "
+                          "remove it from the config")
     return value
 
 
@@ -170,11 +201,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from a plain dict (parsed JSON)."""
     if not isinstance(raw, dict):
         raise InvalidSpec("config must be a JSON object")
-    known = {"dataset", "model", "reduction", "solver", "trials",
-             "master_seed", "output"}
-    unknown = set(raw) - known
-    if unknown:
-        raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(raw, ("dataset", "model", "reduction", "solver", "trials",
+                      "master_seed", "output"), "config")
 
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or len(dataset) != 1:
@@ -184,30 +212,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dataset_file = None
     file_header = False
     if "synthetic" in dataset:
-        spec_raw = _section(dataset, "synthetic")
-        if "seed" in spec_raw:
-            raise InvalidSpec("synthetic seed is derived from master_seed; "
-                              "remove it from the config")
         try:
-            synthetic = SyntheticSpec(**spec_raw)
+            synthetic = SyntheticSpec(**_section(dataset, "synthetic"))
         except TypeError as exc:
             raise InvalidSpec(f"bad synthetic spec: {exc}") from exc
     elif "file" in dataset:
         entry = dataset["file"]
-        if isinstance(entry, dict):
-            if "path" not in entry:
-                raise InvalidSpec('a file dataset object needs a "path"')
-            dataset_file = entry["path"]
-            file_header = bool(entry.get("header", False))
-        else:
-            dataset_file = str(entry)
+        entry = entry if isinstance(entry, dict) else {"path": entry}
+        _check_keys(entry, ("path", "header"), "'file'")
+        if "path" not in entry:
+            raise InvalidSpec('a file dataset object needs a "path"')
+        dataset_file, file_header = entry["path"], entry.get("header", False)
     else:
         raise InvalidSpec(f"unknown dataset source {sorted(dataset)}")
 
-    model = _section(raw, "model")
-    n_subspaces = model.get(
-        "n_subspaces", synthetic.n_subspaces if synthetic else None
-    )
+    model = _section(raw, "model", ("n_subspaces", "max_dim"))
+    n_subspaces = model.get("n_subspaces", synthetic.n_subspaces if synthetic else None)
     max_dim = model.get("max_dim", synthetic.max_dim if synthetic else None)
     if n_subspaces is None or max_dim is None:
         raise InvalidSpec("file datasets need an explicit model section")
@@ -218,7 +238,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except TypeError as exc:
         raise InvalidSpec(f"bad reduction/solver section: {exc}") from exc
 
-    output = _section(raw, "output")
+    output = _section(raw, "output", ("rows", "summary"))
     return ExperimentConfig(
         n_subspaces=n_subspaces,
         max_dim=max_dim,
@@ -274,6 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         file_data = normalize_dataset(
             load_dataset(cfg.dataset_file, header=cfg.file_header)
         )
+        _check_dims(cfg, file_data.count, file_data.ambient_dim)
 
     rows: list[dict] = []
     per_trial_seconds: list[float] = []

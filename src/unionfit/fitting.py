@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, OutOfRange
-from .metrics import _as_columns, distance_table
+from .errors import InvalidPartition, OutOfRange, require_int
+from .metrics import as_columns, distance_table
 from .model import (
     RANK_TOL_FACTOR,
     Bundle,
@@ -47,9 +47,8 @@ def best_subspace(matrix, k: int) -> Subspace:
     An empty slice (or k = 0) maps to the zero subspace, and the fitted
     dimension drops below k whenever the slice has lower rank.
     """
-    if k < 0:
-        raise OutOfRange("k must be nonnegative")
-    m = _as_columns(matrix)
+    require_int("k", k, minimum=0, error=OutOfRange)
+    m = as_columns(matrix)
     n_rows, n_cols = m.shape
     if n_cols == 0 or k == 0:
         return Subspace.zero(n_rows)

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import DimensionMismatch, OutOfRange, require_int
 from .model import RANK_TOL_FACTOR, Bundle, DataSet, Subspace
 
-def _as_columns(data) -> np.ndarray:
+
+def as_columns(data) -> np.ndarray:
+    """The points of a DataSet, or an array as a matrix of columns (a
+    vector is one column)."""
     if isinstance(data, DataSet):
         return data.points
     a = np.asarray(data, dtype=float)
@@ -74,7 +77,7 @@ def group_error(matrix, subspace: Subspace) -> float:
 
     Additive over disjoint slices; the sum runs in ascending column order.
     """
-    m = _as_columns(matrix)
+    m = as_columns(matrix)
     if m.shape[1] == 0:
         return 0.0
     return float(np.sum(residual_norms_sq(m, subspace)))
@@ -92,9 +95,8 @@ def ek_min_error(matrix, k: int) -> float:
     thresholding their square roots with the singular-value rule would
     overcount the rank.
     """
-    if k < 0:
-        raise OutOfRange("k must be nonnegative")
-    m = _as_columns(matrix)
+    require_int("k", k, minimum=0, error=OutOfRange)
+    m = as_columns(matrix)
     n_rows, n_cols = m.shape
     if n_cols == 0:
         return 0.0

@@ -17,6 +17,7 @@ from .errors import (
     InvalidPartition,
     OutOfRange,
     ZeroData,
+    require_int,
 )
 
 # Singular value sigma_i counts toward the numerical rank iff
@@ -175,8 +176,7 @@ class Bundle:
         subs = tuple(self.subspaces)
         if len(subs) == 0:
             raise EmptyBundle("a bundle needs at least one subspace")
-        if self.cap_dim < 0:
-            raise OutOfRange("cap_dim must be nonnegative")
+        require_int("cap_dim", self.cap_dim, minimum=0, error=OutOfRange)
         n = subs[0].ambient_dim
         for v in subs:
             if v.ambient_dim != n:
@@ -218,8 +218,7 @@ class Partition:
             raise InvalidPartition(f"labels must be 1-d, got shape {lab.shape}")
         if lab.size and lab.dtype.kind not in "iu":
             raise InvalidPartition(f"labels must be integers, got {lab.dtype}")
-        if self.n_groups < 1:
-            raise InvalidPartition(f"need n_groups >= 1, got {self.n_groups}")
+        require_int("n_groups", self.n_groups, minimum=1, error=InvalidPartition)
         lab = np.array(lab, dtype=int)
         if lab.size and not (lab.min() >= 0 and lab.max() < self.n_groups):
             raise InvalidPartition(f"labels must lie in 0..{self.n_groups - 1}")

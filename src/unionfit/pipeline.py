@@ -9,20 +9,29 @@ compared against the closed-form budget (1+eps) e0 + eps sqrt(l (d-k)).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NotNormalized, OutOfRange
+from .errors import (
+    DimensionMismatch,
+    NotNormalized,
+    OutOfRange,
+    check_bound_shape,
+    require_acts_on,
+    require_finite,
+    require_int,
+    require_unit_interval,
+)
 from .fitting import bundle_from_partition
-from .metrics import _as_columns, bundle_error, ek_min_error
+from .metrics import as_columns, bundle_error, ek_min_error
 from .model import Bundle, DataSet, Partition
 from .projection import RandomSpec, sample_matrix
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_TOL,
+    SolveReport,
     brute_force_oracle,
     solve_best_model,
     within_budget,
@@ -33,23 +42,6 @@ NORMALIZATION_TOL = 1e-9
 
 # Absolute slack used when comparing an observed error against a bound.
 BOUND_SLACK = 1e-9
-
-
-def _require_int(name: str, value, minimum: int | None = None) -> None:
-    """Raise InvalidSpec unless ``value`` is an integer (not a bool) of at
-    least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidSpec(f"{name} must be at least {minimum}, got {value}")
-
-
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 @dataclass(frozen=True)
@@ -65,14 +57,18 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iter", "oracle_budget"):
-            _require_int(name, getattr(self, name), minimum=1)
-        _require_int("seed", self.seed)
-        if not _is_finite_number(self.tol) or self.tol < 0:
-            raise InvalidSpec(f"tol must be a finite number >= 0, got {self.tol!r}")
-        if self.stop_below is not None and not _is_finite_number(self.stop_below):
-            raise InvalidSpec(
-                f"stop_below must be a finite number, got {self.stop_below!r}"
-            )
+            require_int(name, getattr(self, name), minimum=1)
+        require_int("seed", self.seed)
+        require_finite("tol", self.tol, minimum=0)
+        if self.stop_below is not None:
+            require_finite("stop_below", self.stop_below)
+
+    def solve(self, data: DataSet, n_subspaces: int, max_dim: int) -> SolveReport:
+        """``solve_best_model`` with these settings."""
+        return solve_best_model(
+            data, n_subspaces, max_dim, restarts=self.restarts, seed=self.seed,
+            tol=self.tol, max_iter=self.max_iter, stop_below=self.stop_below,
+        )
 
 
 @dataclass(frozen=True)
@@ -97,33 +93,18 @@ class LiftReport:
     reduced_certified_optimal: bool
 
 
-def _check_shape(n_subspaces: int, d: int, k: int, count: int | None = None) -> None:
-    """The (l, d, k) preconditions shared by the closed-form bounds, plus the
-    point count m when one is given."""
-    if d < k:
-        raise OutOfRange(f"rank d={d} must be at least k={k}")
-    if count is None:
-        if k < 0 or n_subspaces < 1:
-            raise OutOfRange("need k >= 0 and at least one subspace")
-    elif k < 0 or n_subspaces < 1 or count < 1:
-        raise OutOfRange("need k >= 0, at least one subspace and one point")
-
-
 def theorem_bound(e0: float, epsilon: float, n_subspaces: int, d: int, k: int) -> float:
     """Lifted-error budget (1+eps) e0 + eps sqrt(l (d-k))."""
-    if not 0.0 < epsilon < 1.0:
-        raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
-    _check_shape(n_subspaces, d, k)
-    if e0 < 0:
-        raise OutOfRange("e0 must be nonnegative")
+    require_unit_interval("epsilon", epsilon)
+    check_bound_shape(n_subspaces, d, k)
+    require_finite("e0", e0, minimum=0, error=OutOfRange)
     return (1.0 + epsilon) * e0 + epsilon * math.sqrt(n_subspaces * (d - k))
 
 
 def eta_admissibility_epsilon(eta: float, n_subspaces: int, d: int, k: int) -> float:
     """The concentration eps that turns the lifted-error budget into e0 + eta."""
-    if not 0.0 < eta < 1.0:
-        raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
-    _check_shape(n_subspaces, d, k)
+    require_unit_interval("eta", eta)
+    check_bound_shape(n_subspaces, d, k)
     return eta / (1.0 + math.sqrt(n_subspaces * (d - k)))
 
 
@@ -132,11 +113,9 @@ def min_reduced_dim(
 ) -> int:
     """Smallest sketch dimension guaranteeing error e0 + eta with
     probability 1 - delta (for the gaussian / two-point families)."""
-    if not 0.0 < eta < 1.0:
-        raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
-    if not 0.0 < delta < 1.0:
-        raise OutOfRange(f"delta must lie in (0, 1), got {delta}")
-    _check_shape(n_subspaces, d, k, count)
+    require_unit_interval("eta", eta)
+    require_unit_interval("delta", delta)
+    check_bound_shape(n_subspaces, d, k, count)
     coeff = 12.0 * (1.0 + math.sqrt(n_subspaces * (d - k))) ** 2 / (eta * eta)
     log_term = math.log((2.0 * count * count + 4.0 * count) / delta)
     return max(1, math.ceil(coeff * log_term))
@@ -145,14 +124,8 @@ def min_reduced_dim(
 def gram_distortion(data, matrix) -> float:
     """Frobenius norm of M^T M - M^T A^T A M (how much the sketch bends
     the Gram matrix)."""
-    pts = _as_columns(data)
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[1] != pts.shape[0]:
-        raise DimensionMismatch(
-            f"matrix of shape {a.shape} cannot act on points of "
-            f"dimension {pts.shape[0]}"
-        )
-    sketched = a @ pts
+    pts = as_columns(data)
+    sketched = require_acts_on(matrix, pts.shape[0]) @ pts
     return float(np.linalg.norm(pts.T @ pts - sketched.T @ sketched))
 
 
@@ -165,16 +138,9 @@ def ek_perturbation_check(
     |E_k(S) - E_k(AS)| <= sqrt(d - k) * ||S^T S - S^T A^T A S||, where d
     is the rank of the dataset the slice came from.
     """
-    if k < 0:
-        raise OutOfRange("k must be nonnegative")
-    _check_shape(1, d, k)
-    pts = _as_columns(slice_)
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[1] != pts.shape[0]:
-        raise DimensionMismatch(
-            f"matrix of shape {a.shape} cannot act on points of "
-            f"dimension {pts.shape[0]}"
-        )
+    check_bound_shape(1, d, k)
+    pts = as_columns(slice_)
+    a = require_acts_on(matrix, pts.shape[0])
     lhs = abs(ek_min_error(pts, k) - ek_min_error(a @ pts, k))
     rhs = math.sqrt(d - k) * gram_distortion(pts, a)
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
@@ -209,15 +175,12 @@ def reduce_solve_lift(
             f"spec expects ambient dimension {spec.ambient_dim}, "
             f"data has {data.ambient_dim}"
         )
-    if matrix is not None:
-        a = np.asarray(matrix, dtype=float)
-        if a.shape != (spec.reduced_dim, spec.ambient_dim):
-            raise DimensionMismatch(
-                f"matrix shape {a.shape} does not match spec "
-                f"({spec.reduced_dim}, {spec.ambient_dim})"
-            )
-    else:
-        a = sample_matrix(spec)
+    a = sample_matrix(spec) if matrix is None else np.asarray(matrix, dtype=float)
+    if a.shape != (spec.reduced_dim, spec.ambient_dim):
+        raise DimensionMismatch(
+            f"matrix shape {a.shape} does not match spec "
+            f"({spec.reduced_dim}, {spec.ambient_dim})"
+        )
 
     reduced = DataSet(a @ data.points)
     if within_budget(n_subspaces, data.count, cfg.oracle_budget):
@@ -225,16 +188,7 @@ def reduce_solve_lift(
             reduced, n_subspaces, max_dim, budget=cfg.oracle_budget
         )
     else:
-        report = solve_best_model(
-            reduced,
-            n_subspaces,
-            max_dim,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            stop_below=cfg.stop_below,
-        )
+        report = cfg.solve(reduced, n_subspaces, max_dim)
 
     lifted = bundle_from_partition(data, report.partition, max_dim)
     lifted_error = bundle_error(data, lifted)

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import (
+    DimensionMismatch,
+    OutOfRange,
+    require_acts_on,
+    require_choice,
+    require_int,
+    require_unit_interval,
+)
 from .model import SEED_MASK, Subspace, matrix_rank
 
 GAUSSIAN = "gaussian"
@@ -31,15 +38,10 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise OutOfRange(
-                f"unknown distribution {self.distribution!r}; "
-                f"expected one of {DISTRIBUTIONS}"
-            )
-        if self.reduced_dim < 1:
-            raise OutOfRange("reduced_dim must be at least 1")
-        if self.ambient_dim < 1:
-            raise OutOfRange("ambient_dim must be at least 1")
+        require_choice("distribution", self.distribution, DISTRIBUTIONS, OutOfRange)
+        require_int("reduced_dim", self.reduced_dim, minimum=1, error=OutOfRange)
+        require_int("ambient_dim", self.ambient_dim, minimum=1, error=OutOfRange)
+        require_int("seed", self.seed, error=OutOfRange)
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,7 @@ def sample_matrix(spec: RandomSpec, stream: int = 0) -> np.ndarray:
 
 def c0(epsilon: float) -> float:
     """Concentration exponent eps^2/4 - eps^3/6; strictly positive on (0, 1)."""
-    if not 0.0 < epsilon < 1.0:
-        raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
+    require_unit_interval("epsilon", epsilon)
     return epsilon * epsilon / 4.0 - epsilon**3 / 6.0
 
 
@@ -97,10 +98,8 @@ def empirical_concentration(
     reproduces the exact same draws (and, by homogeneity, the same
     failure counts).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
-    if trials < 1:
-        raise OutOfRange("trials must be at least 1")
+    require_unit_interval("epsilon", epsilon)
+    require_int("trials", trials, minimum=1, error=OutOfRange)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
         raise OutOfRange("need at least one vector")
@@ -141,12 +140,6 @@ def check_rank_preservation(matrix, subspace: Subspace, k: int) -> bool:
     to dimension <= k under the sketch, the failure mode that breaks
     exact recovery on noiseless data.
     """
-    if k < 0:
-        raise OutOfRange("k must be nonnegative")
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[1] != subspace.ambient_dim:
-        raise DimensionMismatch(
-            f"matrix of shape {a.shape} cannot act on "
-            f"dimension {subspace.ambient_dim}"
-        )
+    require_int("k", k, minimum=0, error=OutOfRange)
+    a = require_acts_on(matrix, subspace.ambient_dim)
     return matrix_rank(a @ subspace.basis) > k

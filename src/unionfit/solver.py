@@ -8,14 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidInit, OutOfRange
+from .errors import (
+    BudgetExceeded,
+    InvalidInit,
+    OutOfRange,
+    check_model_dims,
+    require_instance,
+    require_int,
+)
 from .fitting import (
     best_subspace_residuals,
     bundle_from_partition,
     gram_basis,
     partition_from_bundle,
 )
-from .metrics import bundle_error
 from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace
 
 DEFAULT_TOL = 1e-10
@@ -61,19 +67,6 @@ class SolveReport:
     certified_optimal: bool
     error_traces: tuple[tuple[float, ...], ...]
     winner: int
-
-
-def _check_model_dims(data: DataSet, n_subspaces: int, max_dim: int) -> None:
-    if not 1 <= n_subspaces < data.count:
-        raise OutOfRange(
-            f"need 1 <= n_subspaces < m, got n_subspaces={n_subspaces} "
-            f"for {data.count} points"
-        )
-    if not 0 <= max_dim < data.ambient_dim:
-        raise OutOfRange(
-            f"need 0 <= max_dim < ambient dimension, got max_dim={max_dim} "
-            f"in dimension {data.ambient_dim}"
-        )
 
 
 def _reseed_empty_groups(
@@ -143,11 +136,9 @@ def alternate_minimize(
     ``partition`` and the loop's last error as ``error``.
     ``solve_best_model`` uses this to refit only restarts that can win.
     """
-    _check_model_dims(data, n_subspaces, max_dim)
-    if max_iter < 1:
-        raise OutOfRange("max_iter must be at least 1")
-    if not isinstance(init, Partition):
-        raise InvalidInit("init must be a Partition")
+    check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
+    require_int("max_iter", max_iter, minimum=1, error=OutOfRange)
+    require_instance("init", init, (Partition,), InvalidInit)
     if init.count != data.count or init.n_groups != n_subspaces:
         raise InvalidInit(
             f"init covers {init.count} points in {init.n_groups} groups, "
@@ -259,9 +250,8 @@ def solve_best_model(
     every restart would pick whenever each labeling's Gram-fit and
     SVD-fit errors agree within half the slack.
     """
-    if restarts < 1:
-        raise OutOfRange("restarts must be at least 1")
-    _check_model_dims(data, n_subspaces, max_dim)
+    require_int("restarts", restarts, minimum=1, error=OutOfRange)
+    check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     floor = REFIT_ABS * data.frobenius_norm**2
 
     def near(error: float, target: float) -> bool:
@@ -362,13 +352,14 @@ def brute_force_oracle(
     canonical labeling per permutation class is scored: sum over j <= l of
     S(m, j), about l^m / l!.  The first strict minimum in lexicographic
     order is canonical, so the result equals that of all l^m labelings.
-    The budget still counts l^m.  The returned partition is the
-    nearest-subspace assignment under the optimal bundle, which also
-    generates that bundle (up to numerical error).
+    The budget still counts l^m.  The winner is refitted by ``_svd_refit``:
+    the returned partition is the nearest-subspace assignment under the
+    optimal bundle, which also generates that bundle (up to numerical
+    error), and the error sums that assignment's distances, which is
+    ``bundle_error`` of the bundle bit for bit.
     """
-    _check_model_dims(data, n_subspaces, max_dim)
-    if budget < 1:
-        raise OutOfRange("budget must be positive")
+    check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
+    require_int("budget", budget, minimum=1, error=OutOfRange)
     if not within_budget(n_subspaces, data.count, budget):
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
@@ -386,14 +377,13 @@ def brute_force_oracle(
             best_error = errors[i]
             best_labels = labels[i]
 
-    best_bundle = bundle_from_partition(
+    bundle, partition, error = _svd_refit(
         data, Partition(best_labels, n_subspaces), max_dim
     )
-    partition, _ = partition_from_bundle(data, best_bundle)
     return SolveReport(
-        bundle=best_bundle,
+        bundle=bundle,
         partition=partition,
-        error=bundle_error(data, best_bundle),
+        error=error,
         restarts_used=0,
         iterations=(),
         seed=0,

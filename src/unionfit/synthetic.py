@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_finite, require_instance, require_int
 from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace, normalize_dataset
 
 
@@ -28,30 +28,29 @@ class SyntheticSpec:
     balance: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.ambient_dim < 1 or self.n_points < 1 or self.n_subspaces < 1:
-            raise InvalidSpec("dimensions, point count and subspace count "
-                              "must be positive")
-        if not 1 <= self.max_dim < self.ambient_dim:
+        for name in ("ambient_dim", "n_subspaces", "max_dim", "n_points"):
+            require_int(name, getattr(self, name), minimum=1)
+        require_int("seed", self.seed)
+        if not self.max_dim < self.ambient_dim:
             raise InvalidSpec(
                 f"need 1 <= max_dim < ambient_dim, got max_dim={self.max_dim} "
                 f"in dimension {self.ambient_dim}"
             )
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be nonnegative")
+        require_finite("noise_sigma", self.noise_sigma, minimum=0)
         if self.balance is not None:
-            counts = tuple(int(c) for c in self.balance)
-            if len(counts) != self.n_subspaces:
+            require_instance("balance", self.balance, (list, tuple))
+            for c in self.balance:
+                require_int("balance count", c, minimum=0)
+            if len(self.balance) != self.n_subspaces:
                 raise InvalidSpec(
-                    f"balance lists {len(counts)} counts for "
+                    f"balance lists {len(self.balance)} counts for "
                     f"{self.n_subspaces} subspaces"
                 )
-            if any(c < 0 for c in counts):
-                raise InvalidSpec("balance counts must be nonnegative")
-            if sum(counts) != self.n_points:
+            if sum(self.balance) != self.n_points:
                 raise InvalidSpec(
-                    f"balance sums to {sum(counts)}, expected {self.n_points}"
+                    f"balance sums to {sum(self.balance)}, expected {self.n_points}"
                 )
-            object.__setattr__(self, "balance", counts)
+            object.__setattr__(self, "balance", tuple(int(c) for c in self.balance))
 
     @property
     def counts(self) -> tuple[int, ...]:

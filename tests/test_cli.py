@@ -1,12 +1,27 @@
+import argparse
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from unionfit import Bundle, Partition, Subspace, bundle_error, load_dataset
-from unionfit.cli import main
+from unionfit import (
+    Bundle,
+    DataSet,
+    Partition,
+    SolverConfig,
+    Subspace,
+    bundle_error,
+    load_dataset,
+    save_dataset,
+)
+from unionfit.cli import build_parser, main
 from unionfit.pipeline import min_reduced_dim, theorem_bound
 from unionfit.projection import c0
 
@@ -269,3 +284,240 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["c0"] == pytest.approx(1 / 24, abs=1e-12)
+
+
+SUBCOMMAND_DESTS = {
+    "generate": {"seed", "out", "subspaces", "max_dim", "ambient_dim", "points",
+                 "noise_sigma", "balance", "truth"},
+    "solve": {"seed", "out", "data", "header", "subspaces", "max_dim", "restarts",
+              "max_iter", "tol", "normalize"},
+    "oracle": {"out", "data", "header", "subspaces", "max_dim", "budget",
+               "normalize"},
+    "reduce-solve": {"seed", "out", "data", "header", "subspaces", "max_dim",
+                     "restarts", "max_iter", "tol", "dist", "r", "eta", "delta",
+                     "epsilon", "oracle_budget"},
+    "bounds": {"out", "epsilon", "e0", "eta", "delta", "subspaces", "rank",
+               "max_dim", "points"},
+    "experiment": {"config", "rows", "summary"},
+    "check-concentration": {"seed", "out", "dist", "r", "ambient_dim", "epsilon",
+                            "trials", "vectors"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_options_it_reads():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(SUBCOMMAND_DESTS)
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        assert dests == SUBCOMMAND_DESTS[name], name
+
+
+def test_solver_flag_defaults_come_from_solver_config():
+    parse = build_parser().parse_args
+    args = parse(["solve", "--data", "x.csv", "-l", "2", "-k", "1"])
+    defaults = SolverConfig()
+    assert (args.restarts, args.max_iter, args.tol) == (
+        defaults.restarts, defaults.max_iter, defaults.tol)
+    args = parse(["reduce-solve", "--data", "x.csv", "-l", "2", "-k", "1"])
+    assert (args.restarts, args.max_iter, args.tol, args.oracle_budget) == (
+        defaults.restarts, defaults.max_iter, defaults.tol, defaults.oracle_budget)
+
+
+def _experiment_config(tmp_path, **overrides):
+    cfg = {
+        "dataset": {"synthetic": {"ambient_dim": 8, "n_subspaces": 2,
+                                  "max_dim": 1, "n_points": 6}},
+        "reduction": {"r": 3},
+        "trials": 1,
+        "output": {"rows": str(tmp_path / "rows.csv")},
+        **overrides,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--ambient-dim", 6, "-l", 2, "-k", 1, "-m", 8, "--tol", "1e-3"),
+    ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--seed", 1),
+    ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--tol", "1e-3"),
+    ("bounds", "--epsilon", "0.5", "--seed", 1),
+    ("bounds", "--epsilon", "0.5", "--tol", "1e-3"),
+    ("experiment", "--config", "CONFIG", "--seed", 5),
+    ("experiment", "--config", "CONFIG", "--out", "OUT"),
+    ("experiment", "--config", "CONFIG", "--tol", "1e-3"),
+    ("check-concentration", "--r", 4, "--ambient-dim", 6, "--epsilon", "0.5",
+     "--trials", 2, "--tol", "1e-3"),
+    # generate without --out fails in argparse, before any draw
+    ("generate", "--ambient-dim", 6, "-l", 2, "-k", 1, "-m", 8),
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_unread_flags_are_rejected(tmp_path, capsys, argv):
+    data = generate_dataset(tmp_path)
+    config = _experiment_config(tmp_path)
+    names = {"DATA": data, "CONFIG": config, "OUT": tmp_path / "out.json"}
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as info:
+        run_cli(*(names.get(a, a) for a in argv))
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_solve_rejects_a_bad_tolerance_like_reduce_solve(tmp_path, capsys, tol):
+    data = generate_dataset(tmp_path)
+    out = tmp_path / "report.json"
+    for command in ("solve", "reduce-solve"):
+        extra = ("--r", 3) if command == "reduce-solve" else ()
+        assert run_cli(command, "--data", data, "-l", 2, "-k", 1, "--tol", tol,
+                       "--out", out, *extra) == 2
+        assert "tol must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_reduce_solve_rejects_epsilon_in_eta_mode(tmp_path, capsys):
+    data = generate_dataset(tmp_path, points=5)
+    out = tmp_path / "lift.json"
+    assert run_cli("reduce-solve", "--data", data, "-l", 2, "-k", 1,
+                   "--eta", "0.9", "--delta", "0.5", "--epsilon", "0.3",
+                   "--out", out) == 2
+    assert "epsilon is derived from eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bounds_rejects_a_non_finite_optimum(capsys):
+    assert run_cli("bounds", "--epsilon", "0.5", "--e0", "nan", "-l", 2, "-d", 3,
+                   "-k", 1) == 2
+    assert "e0 must be a finite number" in capsys.readouterr().err
+
+
+SYNTHETIC = {"ambient_dim": 8, "n_subspaces": 2, "max_dim": 1, "n_points": 6}
+
+
+@pytest.mark.parametrize("bad", [
+    {"dataset": {"synthetic": {**SYNTHETIC, "n_points": 6.5}}},
+    {"dataset": {"synthetic": {**SYNTHETIC, "n_points": 8, "balance": [4.9, 4.9]}}},
+    {"solver": {"seed": 5}},
+    {"reduction": {"eta": 0.9, "delta": 0.5, "epsilon": 0.3}},
+    {"reduction": {"r": 3, "seed": 1}},
+    {"model": {"n_subspaces": 2, "max_dim": 1, "n_subspace": 3}},
+    {"output": {"row": "rows.csv"}},
+    {"output": {"rows": 5}},
+    # model dimensions the solver would reject in trial 0
+    {"dataset": {"synthetic": {**SYNTHETIC, "n_subspaces": 6}}, "trials": 0},
+    {"model": {"n_subspaces": 6, "max_dim": 1}, "trials": 0},
+    {"model": {"n_subspaces": 2, "max_dim": 8}, "trials": 0},
+    # the sketch has dimension r = 3, so it cannot hold a 3-dim subspace
+    {"model": {"n_subspaces": 2, "max_dim": 3}, "trials": 0},
+], ids=repr)
+def test_experiment_rejects_settings_before_any_trial(tmp_path, capsys, bad):
+    config = _experiment_config(tmp_path, **bad)
+    assert run_cli("experiment", "--config", config) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    {"file": {"path": "DATA", "header": "no"}},
+    {"file": {"path": "DATA", "hedaer": True}},
+    {"file": 5},
+], ids=repr)
+def test_experiment_rejects_bad_file_entries(tmp_path, dataset):
+    data = str(generate_dataset(tmp_path))
+    entry = dataset["file"]
+    if isinstance(entry, dict):
+        dataset = {"file": {k: data if v == "DATA" else v for k, v in entry.items()}}
+    config = _experiment_config(tmp_path, dataset=dataset,
+                                model={"n_subspaces": 2, "max_dim": 1})
+    assert run_cli("experiment", "--config", config) == 2
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_file_dataset_dimensions_are_checked_when_loaded(tmp_path, capsys):
+    data = generate_dataset(tmp_path, points=5)
+    config = _experiment_config(tmp_path, dataset={"file": str(data)},
+                                model={"n_subspaces": 5, "max_dim": 1}, trials=0)
+    assert run_cli("experiment", "--config", config) == 2
+    assert "n_subspaces" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+# Where a fuzzed config may differ from a valid one, and what may go there.
+# Numbers stay small and eta/delta stay at 0.25 or more, so that a config
+# that passes validation runs in milliseconds: a small eta or a large size
+# is valid and would only make the example slow.
+FUZZ_PATHS = [
+    ("dataset",), ("dataset", "synthetic"), ("dataset", "file"),
+    ("dataset", "synthetic", "ambient_dim"), ("dataset", "synthetic", "n_subspaces"),
+    ("dataset", "synthetic", "max_dim"), ("dataset", "synthetic", "n_points"),
+    ("dataset", "synthetic", "noise_sigma"), ("dataset", "synthetic", "balance"),
+    ("dataset", "synthetic", "seed"), ("model",), ("model", "n_subspaces"),
+    ("model", "max_dim"), ("reduction",), ("reduction", "distribution"),
+    ("reduction", "r"), ("reduction", "eta"), ("reduction", "delta"),
+    ("reduction", "epsilon"), ("solver",), ("solver", "restarts"),
+    ("solver", "tol"), ("solver", "max_iter"), ("solver", "oracle_budget"),
+    ("solver", "stop_below"), ("solver", "seed"), ("trials",), ("master_seed",),
+    ("output",), ("output", "rows"), ("output", "summary"), ("unknown",),
+]
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 7),
+    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.9, 1.0, 2.0, 2.5,
+                     math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "x", "gaussian", "bernoulli", "data.csv"]),
+    st.lists(st.integers(-1, 5), max_size=3),
+    st.dictionaries(st.sampled_from(["path", "header", "x"]),
+                    st.sampled_from([True, "data.csv", 1]), max_size=2),
+)
+DELETE = object()
+
+
+@st.composite
+def fuzzed_configs(draw):
+    cfg = {
+        "dataset": {"synthetic": {"ambient_dim": 6, "n_subspaces": 2, "max_dim": 1,
+                                  "n_points": 5, "noise_sigma": 0.05}},
+        "reduction": {"distribution": "gaussian", "r": 3, "epsilon": 0.5},
+        "solver": {"restarts": 3, "oracle_budget": 1000},
+        "trials": 1,
+        "master_seed": 3,
+        "output": {"rows": "rows.csv", "summary": "summary.json"},
+    }
+    edits = draw(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS),
+                                    st.one_of(st.just(DELETE), FUZZ_VALUES)),
+                          min_size=1, max_size=2))
+    for path, value in edits:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {}) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if value is DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+@given(fuzzed_configs())
+def test_fuzzed_experiment_configs_exit_cleanly(cfg):
+    """Any config exits 0, 2 or 3 with no exception escaping main, and a
+    rejected one (exit 2) writes no rows file."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            save_dataset(DataSet(np.arange(1.0, 31.0).reshape(6, 5) ** 0.5),
+                         "data.csv")
+            with open("cfg.json", "w") as fh:
+                json.dump(cfg, fh)
+            code = main(["experiment", "--config", "cfg.json"])
+            written = set(os.listdir(".")) - {"data.csv", "cfg.json"}
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert not written, written

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -189,6 +189,8 @@ def test_config_validation_errors():
     with pytest.raises(InvalidSpec):
         small_config(reduction={"distribution": "gaussian", "r": 3, "eta": 0.5,
                                 "delta": 0.1})
+    with pytest.raises(InvalidSpec):  # epsilon is derived in (eta, delta) mode
+        small_config(reduction={"eta": 0.9, "delta": 0.5, "epsilon": 0.3})
     with pytest.raises(InvalidSpec):
         small_config(unknown_section=1)
     # sketch parameters outside (0, 1) are rejected before any trial runs
@@ -247,7 +249,6 @@ def tiny_trials(draw):
     return normalize_dataset(data), k, draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(tiny_trials())
 def test_lifted_error_never_below_full_space_optimum(trial):
     """The lifted partition is one of the labelings the full-space oracle

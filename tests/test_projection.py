@@ -28,6 +28,11 @@ def test_random_spec_validation():
         RandomSpec("gaussian", 0, 4)
     with pytest.raises(OutOfRange):
         RandomSpec("gaussian", 2, 0)
+    # types are checked when the spec is built, not when a matrix is drawn
+    for args in (("gaussian", 2.5, 6), ("gaussian", 2, 6.0), ("gaussian", True, 6),
+                 ("gaussian", 2, 6, 1.5)):
+        with pytest.raises(OutOfRange):
+            RandomSpec(*args)
 
 
 def test_bernoulli_entries_are_exactly_two_valued():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -411,7 +411,6 @@ def small_am_instances(draw):
     return DataSet(pts), n_groups, k, Partition(labels, n_groups)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(small_am_instances())
 def test_alternate_minimize_invariants(instance):
     data, n_groups, k, init = instance
@@ -445,7 +444,6 @@ def gaussian_instances(draw, tie_free=False):
     return DataSet(np.random.default_rng(seed).normal(size=(n, m))), n_groups, k
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(gaussian_instances(), st.data())
 def test_alternate_minimize_invariant_under_label_permutation(instance, drawn):
     data, n_groups, k = instance
@@ -460,7 +458,6 @@ def test_alternate_minimize_invariant_under_label_permutation(instance, drawn):
     assert set(permuted.partition.groups) == set(report.partition.groups)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(gaussian_instances(), st.integers(-8, 8), st.integers(0, 2**16))
 def test_solve_best_model_scales_exactly_with_the_data(instance, j, seed):
     data, n_groups, k = instance
@@ -473,7 +470,6 @@ def test_solve_best_model_scales_exactly_with_the_data(instance, j, seed):
     assert scaled.winner == report.winner
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(gaussian_instances(tie_free=True), st.integers(0, 2**32 - 1))
 def test_oracle_invariant_under_rotation(instance, rotation_seed):
     data, n_groups, k = instance
@@ -663,7 +659,6 @@ def small_oracle_instances(draw):
     return DataSet(pts), n_groups, k
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(small_oracle_instances())
 def test_oracle_property_exact_and_below_heuristic(instance):
     data, n_groups, k = instance

@@ -63,6 +63,17 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         SyntheticSpec(ambient_dim=4, n_subspaces=2, max_dim=1, n_points=6,
                       balance=(3, 2, 1))
+    fields = {"ambient_dim": 8, "n_subspaces": 2, "max_dim": 1, "n_points": 6}
+    for bad in ({"n_points": 6.5}, {"ambient_dim": 8.0}, {"n_subspaces": True},
+                {"max_dim": "1"}, {"seed": 0.5}, {"noise_sigma": np.nan},
+                {"noise_sigma": np.inf}, {"noise_sigma": "0.1"},
+                {"n_points": 8, "balance": (4.9, 4.9)}, {"balance": 6},
+                {"balance": "33"}):
+        with pytest.raises(InvalidSpec):
+            SyntheticSpec(**{**fields, **bad})
+    # integer balance entries of any integer type are kept as Python ints
+    spec = SyntheticSpec(**fields, balance=[np.int64(4), 2])
+    assert spec.balance == (4, 2) and type(spec.balance[0]) is int
 
 
 def test_ground_truth_is_feasible_witness_for_solvers():
