@@ -4,6 +4,7 @@ instances."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ ORACLE_BATCH_FLOATS = 1 << 16
 # this slack.
 REFIT_REL = 1e-9
 REFIT_ABS = 1e-12
+
+# solve_best_model runs restarts on threads only for data of at least this
+# many points-matrix entries (N * m).  A short restart is mostly Python that
+# holds the interpreter lock: in a sweep on a 2-core host (BENCH_8.json) a
+# second thread lost time at 2^15 entries, on tall (N = 200) and on short
+# (N = 24) data, and saved at least 30% on both from 2^17 up.
+PARALLEL_MIN_FLOATS = 1 << 17
+
+# The variables that pin BLAS's own thread count, in the order they are read.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,18 @@ def _svd_refit(
     return bundle, assigned, float(np.sum(trace.dist2))
 
 
+def _residual_row(points: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write the squared distance of every point to span(q) into ``out``.
+
+    The N x m buffer lives only for this call, so no restart holds one
+    across its next ``gram_basis`` eigensolve.
+    """
+    resid = q @ (q.T @ points)
+    np.subtract(points, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    np.sum(resid, axis=0, out=out)
+
+
 def alternate_minimize(
     data: DataSet,
     n_subspaces: int,
@@ -147,7 +170,6 @@ def alternate_minimize(
 
     points = data.points
     table = np.empty((n_subspaces, data.count))
-    resid = np.empty_like(points)
     sq_norms = np.sum(points * points, axis=0)
     fitted_members: list[np.ndarray | None] = [None] * n_subspaces
     bases: list[np.ndarray | None] = [None] * n_subspaces
@@ -166,10 +188,7 @@ def alternate_minimize(
             if q.shape[1] == 0:
                 table[g] = sq_norms
                 continue
-            np.matmul(q, q.T @ points, out=resid)
-            np.subtract(points, resid, out=resid)
-            np.multiply(resid, resid, out=resid)
-            np.sum(resid, axis=0, out=table[g])
+            _residual_row(points, q, table[g])
         labels = np.argmin(table, axis=0)
         dist2 = table[labels, np.arange(data.count)]
         err = float(np.sum(dist2))
@@ -184,9 +203,6 @@ def alternate_minimize(
             break
         labels = _reseed_empty_groups(labels, dist2, n_subspaces)
 
-    # The SVD pass below makes its own N x m temporaries; release the
-    # buffer first so peak memory stays that of the SVD pass alone.
-    del resid
     partition = Partition(fitted, n_subspaces)
     if refit:
         bundle, partition, errors[-1] = _svd_refit(data, partition, max_dim)
@@ -249,6 +265,19 @@ def solve_best_model(
     first strict minimum of the refitted errors: the model that refitting
     every restart would pick whenever each labeling's Gram-fit and
     SVD-fit errors agree within half the slack.
+
+    Restarts run on ``cores // blas_threads`` threads, at most one per
+    restart, when the data has at least ``PARALLEL_MIN_FLOATS`` entries
+    (``N * m``) and otherwise on the calling thread alone.  ``cores`` is
+    the number of CPUs the process may run on; ``blas_threads`` is the
+    first positive integer among ``BLAS_THREAD_VARS``, or ``cores`` when
+    none is set, so threads start only when BLAS is pinned.  The
+    calling thread takes a share, and each thread pulls the next restart
+    index from a shared counter.  Under ``stop_below`` no index past the
+    first restart that stops the solve is handed out, and restarts past it
+    that were already running are dropped, so every field of the report
+    is bit-identical to the one-thread loop's.  An exception raised in a
+    restart propagates to the caller.
     """
     require_int("restarts", restarts, minimum=1, error=OutOfRange)
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
@@ -257,19 +286,30 @@ def solve_best_model(
     def near(error: float, target: float) -> bool:
         return error <= target + REFIT_REL * abs(target) + floor
 
-    runs: list[SolveReport] = []
+    runs: list[SolveReport | None] = [None] * restarts
     refits: dict[int, tuple[Bundle, Partition, float]] = {}
-    for r in range(restarts):
+
+    def run_restart(r: int) -> bool:
+        """Run restart r; True when it ends the solve under stop_below."""
         init = random_partition(data.count, n_subspaces, seed, r)
-        run = alternate_minimize(
+        run = runs[r] = alternate_minimize(
             data, n_subspaces, max_dim, init, tol=tol, max_iter=max_iter,
             refit=False,
         )
-        runs.append(run)
-        if stop_below is not None and near(run.error, stop_below):
-            refits[r] = _svd_refit(data, run.partition, max_dim)
-            if refits[r][2] <= stop_below:
-                break
+        if stop_below is None or not near(run.error, stop_below):
+            return False
+        refits[r] = _svd_refit(data, run.partition, max_dim)
+        return refits[r][2] <= stop_below
+
+    workers = _restart_workers(data.points.size, restarts)
+    if workers == 1:
+        used = next((r + 1 for r in range(restarts) if run_restart(r)), restarts)
+    else:
+        used = _run_threaded(run_restart, restarts, workers)
+    # Threads may have run restarts past the one that stopped the solve;
+    # drop them, and their refits, as the sequential loop never ran them.
+    runs = runs[:used]
+    refits = {r: refit for r, refit in refits.items() if r < used}
 
     best = min(run.error for run in runs)
     seen: set[bytes] = set()
@@ -298,6 +338,74 @@ def solve_best_model(
         error_traces=traces,
         winner=winner,
     )
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads(cores: int) -> int:
+    """BLAS's thread count: the first positive integer among
+    ``BLAS_THREAD_VARS``, else one thread per core."""
+    for name in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
+def _restart_workers(n_floats: int, restarts: int) -> int:
+    """Threads ``solve_best_model`` runs ``restarts`` restarts on, for data
+    of ``n_floats`` entries: the cores BLAS leaves idle, at most one per
+    restart, and one below ``PARALLEL_MIN_FLOATS``."""
+    if n_floats < PARALLEL_MIN_FLOATS:
+        return 1
+    cores = _cores()
+    return max(1, min(restarts, cores // _blas_threads(cores)))
+
+
+def _run_threaded(run_restart, restarts: int, workers: int) -> int:
+    """Run ``run_restart(r)`` for r = 0, 1, ... on ``workers`` threads, the
+    calling thread among them, until every index is handed out or one
+    returns True.  Returns the restart count the sequential loop uses:
+    one past the lowest index that returned True, else ``restarts``."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    lock = threading.Lock()
+    handed = 0
+    stop = restarts  # no index at or past this one is handed out
+
+    def work() -> None:
+        nonlocal handed, stop
+        try:
+            while True:
+                with lock:
+                    r = handed
+                    if r >= stop:
+                        return
+                    handed += 1
+                if run_restart(r):
+                    with lock:
+                        stop = min(stop, r + 1)
+        except BaseException:
+            with lock:
+                stop = 0  # the other threads finish their restart and quit
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return stop
 
 
 def within_budget(n_subspaces: int, count: int, budget: int) -> bool:

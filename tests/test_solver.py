@@ -1,4 +1,7 @@
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -590,6 +593,211 @@ def test_solve_best_model_stop_below_shortcut():
     rerun = solve_best_model(data, 2, 1, restarts=100, seed=3, stop_below=1e-12)
     assert rerun.restarts_used == report.restarts_used
     assert rerun.error == report.error
+
+
+def pin_blas(monkeypatch, threads="1", cores=2):
+    """Make ``cores`` CPUs available and pin BLAS through
+    OPENBLAS_NUM_THREADS alone (unset when ``threads`` is None)."""
+    monkeypatch.setattr(solver, "_cores", lambda: cores)
+    for name in solver.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+
+
+def assert_reports_equal(ours, theirs):
+    """Every field of two solve reports, bit for bit."""
+    assert ours.error == theirs.error
+    assert ours.partition == theirs.partition
+    assert len(ours.bundle) == len(theirs.bundle)
+    for a, b in zip(ours.bundle, theirs.bundle, strict=True):
+        assert a.basis.tobytes() == b.basis.tobytes()
+        assert a.basis.shape == b.basis.shape
+    assert ours.iterations == theirs.iterations
+    assert ours.winner == theirs.winner
+    assert ours.error_traces == theirs.error_traces
+    assert ours.restarts_used == theirs.restarts_used
+    assert ours.seed == theirs.seed
+
+
+def solve_sequential_and_threaded(monkeypatch, data, *args, **kwargs):
+    """solve_best_model on one thread, then forced onto two threads;
+    returns both reports."""
+    pin_blas(monkeypatch)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size + 1)
+    sequential = solve_best_model(data, *args, **kwargs)
+    threaded_runs = []
+    run_threaded = solver._run_threaded
+
+    def counted(run_restart, restarts, workers):
+        threaded_runs.append(workers)
+        return run_threaded(run_restart, restarts, workers)
+
+    monkeypatch.setattr(solver, "_run_threaded", counted)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size)
+    threaded = solve_best_model(data, *args, **kwargs)
+    assert threaded_runs == [2]
+    return sequential, threaded
+
+
+@pytest.mark.parametrize(
+    "data, n_groups, k",
+    [
+        (generate_synthetic(SyntheticSpec(ambient_dim=20, n_subspaces=3,
+                                          max_dim=2, n_points=150,
+                                          noise_sigma=0.01, seed=7))[0], 3, 2),
+        (DataSet(np.random.default_rng(193).normal(size=(30, 24))), 3, 2),
+        (DataSet(np.random.default_rng(194).normal(size=(5, 10))), 4, 2),
+    ],
+    ids=["wide", "narrow", "reseeds"],
+)
+def test_threaded_restarts_equal_the_sequential_loop(monkeypatch, data, n_groups, k):
+    sequential, threaded = solve_sequential_and_threaded(
+        monkeypatch, data, n_groups, k, restarts=6, seed=11
+    )
+    assert_reports_equal(threaded, sequential)
+
+
+@pytest.mark.parametrize("stop_at", [1, 2])
+def test_threaded_restarts_stop_where_the_sequential_loop_stops(monkeypatch, stop_at):
+    # The SVD-fit errors of restarts 0, 1 and 2 strictly decrease, so the
+    # SVD-fit error of restart ``stop_at`` stops the solve there; restart 5
+    # sits lower still, so a thread that ran past the stop must be dropped.
+    data = DataSet(np.random.default_rng(2).normal(size=(6, 30)))
+    errors = [alternate_minimize(data, 3, 1, random_partition(30, 3, 9, r)).error
+              for r in range(6)]
+    assert errors[0] > errors[1] > errors[2] > errors[5]
+    sequential, threaded = solve_sequential_and_threaded(
+        monkeypatch, data, 3, 1, restarts=6, seed=9, stop_below=errors[stop_at]
+    )
+    assert sequential.restarts_used == stop_at + 1
+    assert sequential.error == errors[stop_at]
+    assert_reports_equal(threaded, sequential)
+
+
+def test_threaded_restarts_hand_out_each_index_once(monkeypatch):
+    """More threads than cores and a short switch interval: a lost update
+    of the shared counter would run a restart twice or skip one."""
+    data = DataSet(np.random.default_rng(17).normal(size=(4, 12)))
+    pin_blas(monkeypatch, cores=8)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
+    handed = []
+    draw = solver.random_partition
+
+    def recorded(count, n_groups, seed, restart=0):
+        handed.append(restart)
+        return draw(count, n_groups, seed, restart)
+
+    monkeypatch.setattr(solver, "random_partition", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(5):
+            handed.clear()
+            report = solve_best_model(data, 2, 1, restarts=24, seed=seed)
+            assert sorted(handed) == list(range(24))
+            assert report.restarts_used == 24
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_exception_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    # The calling thread's first restart waits until a helper thread has
+    # raised, so the error must come from a helper; after it, no thread
+    # starts another restart.
+    data = DataSet(np.random.default_rng(5).normal(size=(4, 12)))
+    pin_blas(monkeypatch)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
+    raised = threading.Event()
+    am = solver.alternate_minimize
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise RuntimeError("restart failed in a helper")
+        assert raised.wait(timeout=30)
+        return am(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "alternate_minimize", failing)
+    with pytest.raises(RuntimeError, match="restart failed in a helper"):
+        solve_best_model(data, 2, 1, restarts=6, seed=1)
+    assert raised.is_set()
+    assert len(calls) <= 2
+
+
+def test_unpinned_blas_starts_no_thread(monkeypatch):
+    data = DataSet(np.random.default_rng(5).normal(size=(4, 12)))
+    pin_blas(monkeypatch, threads=None)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = solve_best_model(data, 2, 1, restarts=6, seed=1)
+    assert report.restarts_used == 6
+
+
+def test_data_at_the_floor_equals_the_sequential_loop(monkeypatch):
+    """Data of exactly PARALLEL_MIN_FLOATS entries, with the environment as
+    it is: with BLAS pinned to one thread on a multi-core host this takes
+    the threaded branch without any patching."""
+    points = np.random.default_rng(29).normal(size=(64, solver.PARALLEL_MIN_FLOATS // 64))
+    data = DataSet(points)
+    assert data.points.size == solver.PARALLEL_MIN_FLOATS
+    report = solve_best_model(data, 2, 1, restarts=4, seed=3)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size + 1)
+    assert_reports_equal(report, solve_best_model(data, 2, 1, restarts=4, seed=3))
+
+
+FLOOR = solver.PARALLEL_MIN_FLOATS
+
+
+@pytest.mark.parametrize(
+    "env, cores, n_floats, restarts, workers",
+    [
+        ({}, 2, FLOOR, 4, 1),  # unset: BLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, FLOOR, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, FLOOR, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, FLOOR, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, FLOOR, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, FLOOR, 4, 4),  # one per restart
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, FLOOR, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, FLOOR, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, FLOOR, 4, 1),
+        # precedence: OPENBLAS, then MKL, then OMP; the first positive wins
+        ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 2, FLOOR, 4, 1),
+        ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, FLOOR, 4, 2),
+        ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, FLOOR, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, FLOOR, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, FLOOR, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 2, FLOOR, 4, 2),
+        # the data floor and a single restart
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, FLOOR - 1, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 200 * 1000, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 24 * 2000, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, FLOOR, 1, 1),
+    ],
+)
+def test_restart_thread_count_rule(monkeypatch, env, cores, n_floats, restarts,
+                                   workers):
+    for name in solver.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert solver._restart_workers(n_floats, restarts) == workers
+
+
+def test_core_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert solver._cores() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert solver._cores() == 1
 
 
 def test_oracle_axis_instance():
