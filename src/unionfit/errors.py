@@ -4,6 +4,7 @@ value a caller can set.  A rule raises the class its caller passes:
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -118,8 +119,11 @@ def check_model_dims(n_subspaces, max_dim, count, ambient_dim, error=OutOfRange)
 
 def check_bound_shape(n_subspaces, d, k, count=None):
     """The closed-form bounds' domain: l >= 1, 0 <= k <= d and, when a
-    point count is given, m >= 1; raises OutOfRange."""
+    point count is given, m >= 1, with l (d - k) and m in the float range;
+    raises OutOfRange."""
     if d < k:
         raise OutOfRange(f"rank d={d} must be at least k={k}")
     if k < 0 or n_subspaces < 1 or (count is not None and count < 1):
         raise OutOfRange("need k >= 0, at least one subspace and one point")
+    if max(n_subspaces * (d - k), count or 0) > sys.float_info.max:
+        raise OutOfRange("l (d - k) and m must not exceed the largest float")

@@ -8,15 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPartition, OutOfRange, require_int
-from .metrics import as_columns, distance_table
-from .model import (
-    RANK_TOL_FACTOR,
-    Bundle,
-    DataSet,
-    Partition,
-    Subspace,
-    rank_from_singular_values,
-)
+from .metrics import as_columns, distance_table, nearest, residuals
+from .model import RANK_TOL_FACTOR, Bundle, DataSet, Partition, Subspace, svd_basis
 
 # Two subspaces count as tied for a point when their squared distances
 # differ by at most this much.
@@ -48,13 +41,8 @@ def best_subspace(matrix, k: int) -> Subspace:
     dimension drops below k whenever the slice has lower rank.
     """
     require_int("k", k, minimum=0, error=OutOfRange)
-    m = as_columns(matrix)
-    n_rows, n_cols = m.shape
-    if n_cols == 0 or k == 0:
-        return Subspace.zero(n_rows)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = rank_from_singular_values(s, (n_rows, n_cols))
-    return Subspace(u[:, : min(k, rank)])
+    u, dim = svd_basis(as_columns(matrix), k)
+    return Subspace(u[:, :dim])
 
 
 def gram_basis(points: np.ndarray, k: int) -> np.ndarray:
@@ -93,7 +81,7 @@ def gram_basis(points: np.ndarray, k: int) -> np.ndarray:
 def best_subspace_residuals(
     points: np.ndarray, members: np.ndarray, k: int
 ) -> np.ndarray:
-    """Batched best_subspace followed by residual_norms_sq.
+    """Batched best_subspace followed by metrics.residuals.
 
     Row b of the result holds the squared distance of every column of
     ``points`` (N x m) to ``best_subspace(points[:, members[b]], k)``, where
@@ -103,20 +91,14 @@ def best_subspace_residuals(
     the same LAPACK and BLAS calls as the unbatched path, so each row is
     bit-identical to it.
     """
-    n_rows = points.shape[0]
     rows = np.empty(members.shape)
-    rows[:] = np.sum(points * points, axis=0)  # the zero subspace
-    if k == 0:
-        return rows
     sizes = np.count_nonzero(members, axis=1)
     by_dim: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for width in np.unique(sizes[sizes > 0]):
+    for width in np.unique(sizes):
         which = np.flatnonzero(sizes == width)
         cols = np.nonzero(members[which])[1].reshape(which.size, width)
-        slices = points.T[cols].transpose(0, 2, 1)
-        u, s, _ = np.linalg.svd(slices, full_matrices=False)
-        dims = np.minimum(k, rank_from_singular_values(s, (n_rows, int(width))))
-        for t in np.unique(dims[dims > 0]):
+        u, dims = svd_basis(points.T[cols].transpose(0, 2, 1), k)
+        for t in np.unique(dims):
             pick = dims == t
             by_dim.setdefault(int(t), []).append((which[pick], u[pick, :, :t]))
     for parts in by_dim.values():
@@ -124,8 +106,7 @@ def best_subspace_residuals(
         # Contiguous like a Subspace basis, so q^T is the same transposed
         # operand the unbatched matmul sees.
         q = np.ascontiguousarray(np.concatenate([b for _, b in parts]))
-        resid = points - q @ (q.transpose(0, 2, 1) @ points)
-        rows[which] = np.sum(resid * resid, axis=1)
+        rows[which] = residuals(points, q)
     return rows
 
 
@@ -147,7 +128,6 @@ def partition_from_bundle(
 ) -> tuple[Partition, AssignmentTrace]:
     """Assign every point to its nearest subspace, ties to the lowest index."""
     table = distance_table(data, bundle)
-    labels = np.argmin(table, axis=0)
-    dist2 = table[labels, np.arange(data.count)]
+    labels, dist2 = nearest(table)
     tie_flags = np.sum(table <= dist2[None, :] + TIE_TOL, axis=0) >= 2
     return Partition(labels, len(bundle)), AssignmentTrace(dist2, tie_flags)

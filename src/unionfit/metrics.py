@@ -1,5 +1,6 @@
-"""Model-error metrics: point-to-subspace distances, bundle errors, and
-the minimal rank-k fitting error computed from tail eigenvalues."""
+"""Model-error metrics: the one residual kernel and nearest-subspace step,
+bundle and group errors, and the minimal rank-k fitting error computed
+from tail eigenvalues."""
 
 from __future__ import annotations
 
@@ -22,23 +23,38 @@ def as_columns(data) -> np.ndarray:
     return a
 
 
-def residual_norms_sq(matrix: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """Squared distance of every column to the subspace, in column order.
+def residuals(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Squared distance of every column of ``points`` (N x m) to the span
+    of an orthonormal basis, in column order.
 
-    Computed as the norm of the explicit projection residual rather than
-    a difference of squared norms, which cancels badly for columns close
-    to the subspace.
+    ``basis`` is N x t with t >= 0, giving m distances, or a B x N x t
+    stack of bases, giving B x m.  A basis with no columns gives the
+    squared norms.  The residual ``x - Q Q^T x`` is formed explicitly, not
+    as a difference of squared norms, which cancels badly for columns
+    close to the subspace.  It is formed in place, in one N x m work array
+    per basis that lives only for this call.
     """
+    resid = basis @ (np.swapaxes(basis, -1, -2) @ points)
+    np.subtract(points, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    return np.sum(resid, axis=-2)
+
+
+def nearest(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of an l x m distance table for every column, ties to
+    the lowest index, and the distance to it."""
+    labels = np.argmin(table, axis=0)
+    return labels, table[labels, np.arange(table.shape[1])]
+
+
+def residual_norms_sq(matrix: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """Squared distance of every column to the subspace, in column order."""
     if matrix.shape[0] != subspace.ambient_dim:
         raise DimensionMismatch(
             f"points live in dimension {matrix.shape[0]}, "
             f"subspace in {subspace.ambient_dim}"
         )
-    if subspace.dim == 0:
-        return np.sum(matrix * matrix, axis=0)
-    q = subspace.basis
-    resid = matrix - q @ (q.T @ matrix)
-    return np.sum(resid * resid, axis=0)
+    return residuals(matrix, subspace.basis)
 
 
 def dist2_to_subspace(point, subspace: Subspace) -> float:
@@ -50,11 +66,7 @@ def dist2_to_subspace(point, subspace: Subspace) -> float:
         raise DimensionMismatch(
             f"vector has dimension {f.shape[0]}, subspace {subspace.ambient_dim}"
         )
-    if subspace.dim == 0:
-        return float(f @ f)
-    q = subspace.basis
-    resid = f - q @ (q.T @ f)
-    return float(resid @ resid)
+    return float(residuals(f[:, None], subspace.basis)[0])
 
 
 def distance_table(data: DataSet, bundle: Bundle) -> np.ndarray:
@@ -63,13 +75,13 @@ def distance_table(data: DataSet, bundle: Bundle) -> np.ndarray:
         raise DimensionMismatch(
             f"data in dimension {data.ambient_dim}, bundle in {bundle.ambient_dim}"
         )
-    return np.stack([residual_norms_sq(data.points, v) for v in bundle])
+    return np.stack([residuals(data.points, v.basis) for v in bundle])
 
 
 def bundle_error(data: DataSet, bundle: Bundle) -> float:
     """Sum over points of the squared distance to the nearest bundle subspace."""
-    table = distance_table(data, bundle)
-    return float(np.sum(np.min(table, axis=0)))
+    _, dist2 = nearest(distance_table(data, bundle))
+    return float(np.sum(dist2))
 
 
 def group_error(matrix, subspace: Subspace) -> float:
@@ -77,10 +89,7 @@ def group_error(matrix, subspace: Subspace) -> float:
 
     Additive over disjoint slices; the sum runs in ascending column order.
     """
-    m = as_columns(matrix)
-    if m.shape[1] == 0:
-        return 0.0
-    return float(np.sum(residual_norms_sq(m, subspace)))
+    return float(np.sum(residual_norms_sq(as_columns(matrix), subspace)))
 
 
 def ek_min_error(matrix, k: int) -> float:

@@ -44,19 +44,23 @@ def rank_from_singular_values(sigma: np.ndarray, shape: tuple[int, int]):
     return int(rank) if s.ndim == 1 else rank
 
 
+def svd_basis(a: np.ndarray, k: int):
+    """Left singular vectors of ``a`` and the dimension of its best
+    rank-<=k fit, ``min(k, rank)``: the fit's basis is ``u[..., :dim]``.
+
+    ``a`` is one N x n matrix or a stack of them along the leading axes; a
+    stack gives the stacked vectors and an array of dimensions, one per
+    matrix.  A matrix with no columns or no nonzero entry has rank 0.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, np.minimum(k, rank_from_singular_values(s, a.shape[-2:]))
+
+
 def matrix_rank(a: np.ndarray) -> int:
     """Numerical rank of an arbitrary matrix under the shared tolerance."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
     sigma = np.linalg.svd(a, compute_uv=False)
     return rank_from_singular_values(sigma, a.shape)
-
-
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,8 @@ class DataSet:
             raise ValueError("data contains non-finite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(pts)))
+        with np.errstate(over="ignore"):  # the norm of huge entries is inf
+            object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(pts)))
 
     @cached_property
     def numerical_rank(self) -> int:
@@ -98,10 +103,7 @@ class DataSet:
 
     def take(self, indices) -> np.ndarray:
         """Column slice as a plain matrix (may have zero columns)."""
-        idx = np.asarray(list(indices), dtype=int)
-        if idx.size == 0:
-            return np.zeros((self.ambient_dim, 0))
-        return self.points[:, idx]
+        return self.points[:, np.asarray(list(indices), dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,8 @@ class Subspace:
         a = np.asarray(vectors, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
-        if a.shape[1] == 0 or not np.any(a):
-            return cls.zero(a.shape[0])
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        r = rank_from_singular_values(s, a.shape)
-        return cls(u[:, :r])
+        u, dim = svd_basis(a, a.shape[1])
+        return cls(u[:, :dim])
 
     def projector(self) -> np.ndarray:
         """Q Q^T, the orthogonal projector onto the subspace.
@@ -250,4 +249,6 @@ def normalize_dataset(data: DataSet) -> DataSet:
     """Rescale to unit Frobenius norm; ranks and angles are unchanged."""
     if data.frobenius_norm <= 0.0:
         raise ZeroData("cannot normalize: every point is zero")
+    if data.frobenius_norm == np.inf:
+        raise OutOfRange("cannot normalize: the Frobenius norm exceeds the float range")
     return DataSet(data.points / data.frobenius_norm)

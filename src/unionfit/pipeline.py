@@ -94,11 +94,14 @@ class LiftReport:
 
 
 def theorem_bound(e0: float, epsilon: float, n_subspaces: int, d: int, k: int) -> float:
-    """Lifted-error budget (1+eps) e0 + eps sqrt(l (d-k))."""
+    """Lifted-error budget (1+eps) e0 + eps sqrt(l (d-k)); raises OutOfRange
+    when it exceeds the float range."""
     require_unit_interval("epsilon", epsilon)
     check_bound_shape(n_subspaces, d, k)
     require_finite("e0", e0, minimum=0, error=OutOfRange)
-    return (1.0 + epsilon) * e0 + epsilon * math.sqrt(n_subspaces * (d - k))
+    bound = (1.0 + epsilon) * e0 + epsilon * math.sqrt(n_subspaces * (d - k))
+    require_finite("theorem_bound", bound, error=OutOfRange)
+    return bound
 
 
 def eta_admissibility_epsilon(eta: float, n_subspaces: int, d: int, k: int) -> float:
@@ -112,13 +115,18 @@ def min_reduced_dim(
     eta: float, delta: float, n_subspaces: int, d: int, k: int, count: int
 ) -> int:
     """Smallest sketch dimension guaranteeing error e0 + eta with
-    probability 1 - delta (for the gaussian / two-point families)."""
+    probability 1 - delta (for the gaussian / two-point families); raises
+    OutOfRange when that dimension exceeds the float range."""
     require_unit_interval("eta", eta)
     require_unit_interval("delta", delta)
     check_bound_shape(n_subspaces, d, k, count)
-    coeff = 12.0 * (1.0 + math.sqrt(n_subspaces * (d - k))) ** 2 / (eta * eta)
-    log_term = math.log((2.0 * count * count + 4.0 * count) / delta)
-    return max(1, math.ceil(coeff * log_term))
+    try:
+        coeff = 12.0 * (1.0 + math.sqrt(n_subspaces * (d - k))) ** 2 / (eta * eta)
+        r = coeff * math.log((2.0 * count * count + 4.0 * count) / delta)
+    except (OverflowError, ZeroDivisionError):  # past the float range
+        r = math.inf
+    require_finite("min_reduced_dim", r, error=OutOfRange)
+    return max(1, math.ceil(r))
 
 
 def gram_distortion(data, matrix) -> float:

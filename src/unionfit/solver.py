@@ -23,6 +23,7 @@ from .fitting import (
     gram_basis,
     partition_from_bundle,
 )
+from .metrics import nearest, residuals
 from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace
 
 DEFAULT_TOL = 1e-10
@@ -114,18 +115,6 @@ def _svd_refit(
     return bundle, assigned, float(np.sum(trace.dist2))
 
 
-def _residual_row(points: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """Write the squared distance of every point to span(q) into ``out``.
-
-    The N x m buffer lives only for this call, so no restart holds one
-    across its next ``gram_basis`` eigensolve.
-    """
-    resid = q @ (q.T @ points)
-    np.subtract(points, resid, out=resid)
-    np.multiply(resid, resid, out=resid)
-    np.sum(resid, axis=0, out=out)
-
-
 def alternate_minimize(
     data: DataSet,
     n_subspaces: int,
@@ -170,7 +159,6 @@ def alternate_minimize(
 
     points = data.points
     table = np.empty((n_subspaces, data.count))
-    sq_norms = np.sum(points * points, axis=0)
     fitted_members: list[np.ndarray | None] = [None] * n_subspaces
     bases: list[np.ndarray | None] = [None] * n_subspaces
     labels = init.labels
@@ -184,13 +172,9 @@ def alternate_minimize(
             ):
                 continue
             fitted_members[g] = members
-            q = bases[g] = gram_basis(points[:, members], max_dim)
-            if q.shape[1] == 0:
-                table[g] = sq_norms
-                continue
-            _residual_row(points, q, table[g])
-        labels = np.argmin(table, axis=0)
-        dist2 = table[labels, np.arange(data.count)]
+            bases[g] = gram_basis(points[:, members], max_dim)
+            table[g] = residuals(points, bases[g])
+        labels, dist2 = nearest(table)
         err = float(np.sum(dist2))
         errors.append(err)
         # Only ``init`` can leave a group empty at a stable labeling; that

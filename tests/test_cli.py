@@ -1,14 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unionfit import (
@@ -314,6 +319,30 @@ def test_each_subcommand_accepts_exactly_the_options_it_reads():
         assert dests == SUBCOMMAND_DESTS[name], name
 
 
+def readme_commands() -> list[list[str]]:
+    """Every ``unionfit`` command in README's ``sh`` blocks, without the
+    program name, continuation lines joined and comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("unionfit "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    """A flag removed or renamed in the parser must fail here, not rot in
+    the README.  Parsing only: nothing runs."""
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: unionfit {shlex.join(argv)}")
+
+
 def test_solver_flag_defaults_come_from_solver_config():
     parse = build_parser().parse_args
     args = parse(["solve", "--data", "x.csv", "-l", "2", "-k", "1"])
@@ -391,6 +420,33 @@ def test_bounds_rejects_a_non_finite_optimum(capsys):
     assert run_cli("bounds", "--epsilon", "0.5", "--e0", "nan", "-l", 2, "-d", 3,
                    "-k", 1) == 2
     assert "e0 must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("bounds", "--eta", "1e-300", "--delta", "0.5", "-l", 2, "-d", 5, "-k", 1,
+      "-m", 10), "min_reduced_dim"),
+    (("bounds", "--epsilon", "0.9", "--e0", "1.7e308", "-l", 2, "-d", 5, "-k", 1),
+     "theorem_bound"),
+    (("reduce-solve", "--data", "DATA", "-l", 2, "-k", 1, "--eta", "1e-160",
+      "--delta", "0.5"), "min_reduced_dim"),
+], ids=["bounds-eta", "bounds-e0", "reduce-solve-eta"])
+def test_results_past_the_float_range_exit_2(tmp_path, capsys, argv, name):
+    data = str(generate_dataset(tmp_path, points=5))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = [data if a == "DATA" else a for a in argv]
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name} must be a finite number, got inf\n"
+    assert not out.exists()
+
+
+def test_experiment_with_an_eta_past_the_float_range_exits_2(tmp_path, capsys):
+    config = _experiment_config(tmp_path, reduction={"eta": 1e-300, "delta": 0.5})
+    assert run_cli("experiment", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err == "error: min_reduced_dim must be a finite number, got inf\n"
+    assert not (tmp_path / "rows.csv").exists()
 
 
 SYNTHETIC = {"ambient_dim": 8, "n_subspaces": 2, "max_dim": 1, "n_points": 6}
@@ -521,3 +577,106 @@ def test_fuzzed_experiment_configs_exit_cleanly(cfg):
     assert code in (0, 2, 3)
     if code == 2:
         assert not written, written
+
+
+# Every fuzzed command starts from valid flags, drawn over their whole valid
+# range, and then has up to two flags replaced by anything of their type:
+# floats over the whole range (subnormals, +-inf, nan, 1.7e308) and, for the
+# closed-form bounds, integers past the float range.  Sizes that get data
+# drawn stay small.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, 1e-300, 1e-160, 1.7e308, math.inf, -math.inf,
+                     math.nan]),
+)
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+NONNEGATIVE = st.floats(0.0, sys.float_info.max)
+SMALL = st.integers(-2, 8)
+
+
+@st.composite
+def fuzzed_flags(draw, valid: dict, wild: dict, optional=False):
+    """``--flag=value`` arguments: ``valid`` values with up to two replaced
+    by a ``wild`` one and, when ``optional``, some flags left out."""
+    values = draw(st.fixed_dictionaries(valid))
+    for flag in draw(st.lists(st.sampled_from(sorted(wild)), max_size=2)):
+        values[flag] = draw(wild[flag])
+    if optional:
+        for flag in draw(st.sets(st.sampled_from(sorted(values)))):
+            del values[flag]
+    return [f"{flag}={value}" for flag, value in values.items()]
+
+
+def run_main(argv):
+    """Exit code and standard output of ``main``; argparse's SystemExit(2)
+    is the only exception that may escape it, and reads as exit code 2."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+    assert code in (0, 2, 3)
+    return code, out.getvalue()
+
+
+def strict_json(text):
+    """Parse JSON, refusing NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+BOUNDS_FLAGS = fuzzed_flags(
+    valid={"--epsilon": UNIT, "--e0": NONNEGATIVE, "--eta": UNIT, "--delta": UNIT,
+           "--subspaces": st.integers(1, 4), "--rank": st.integers(3, 9),
+           "--max-dim": st.integers(0, 3), "--points": st.integers(1, 50)},
+    wild={"--epsilon": FLOATS, "--e0": FLOATS, "--eta": FLOATS, "--delta": FLOATS,
+          **dict.fromkeys(["--subspaces", "--rank", "--max-dim", "--points"],
+                          st.integers() | st.just(10**400))},
+    optional=True,
+)
+
+
+@given(BOUNDS_FLAGS)
+@example(["--eta=1e-300", "--delta=0.5", "-l=2", "-d=5", "-k=1", "-m=10"])
+@example(["--epsilon=0.9", "--e0=1.7e308", "-l=2", "-d=5", "-k=1"])
+def test_fuzzed_bounds_exit_cleanly(argv):
+    code, out = run_main(["bounds", *argv])
+    if code == 0:
+        assert strict_json(out)
+
+
+@given(fuzzed_flags(
+    valid={"--ambient-dim": st.integers(3, 6), "-l": st.integers(1, 3),
+           "-k": st.integers(1, 2), "--points": st.integers(3, 12),
+           "--noise-sigma": NONNEGATIVE, "--seed": st.integers()},
+    wild={"--ambient-dim": SMALL, "-l": SMALL, "-k": SMALL, "--points": SMALL,
+          "--noise-sigma": FLOATS,
+          "--balance": st.lists(SMALL, max_size=3).map(lambda c: ",".join(map(str, c)))},
+))
+def test_fuzzed_generate_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        code, _ = run_main(["generate", *argv, f"--out={data}"])
+        if code == 0:
+            points = load_dataset(data)
+            assert abs(points.frobenius_norm - 1.0) <= 1e-9
+            with open(data + ".truth.json") as fh:
+                assert strict_json(fh.read())["count"] == points.count
+
+
+@given(fuzzed_flags(
+    valid={"--dist": st.sampled_from(["gaussian", "bernoulli"]),
+           "--r": st.integers(1, 8), "--ambient-dim": st.integers(1, 6),
+           "--epsilon": UNIT, "--trials": st.integers(1, 4),
+           "--vectors": st.integers(1, 4), "--seed": st.integers()},
+    wild={"--r": SMALL, "--ambient-dim": SMALL, "--epsilon": FLOATS,
+          "--trials": SMALL, "--vectors": SMALL},
+))
+def test_fuzzed_check_concentration_exits_cleanly(argv):
+    code, out = run_main(["check-concentration", *argv])
+    if code == 0:
+        report = strict_json(out)
+        assert report["failures"] <= report["pairs"]

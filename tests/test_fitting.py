@@ -36,6 +36,13 @@ def test_best_subspace_rank_one_data():
 def test_best_subspace_empty_slice():
     assert best_subspace(np.zeros((4, 0)), 2).dim == 0
     assert best_subspace(np.zeros((4, 0)), 0).dim == 0
+    # k = 0, no columns and all zeros fit the zero subspace, and the error
+    # to it is the squared norm.
+    for matrix, k in [(np.arange(12.0).reshape(4, 3), 0), (np.zeros((4, 0)), 2),
+                      (np.zeros((4, 3)), 2)]:
+        fit = best_subspace(matrix, k)
+        assert fit.basis.shape == (4, 0) and fit.basis.dtype == float
+        assert group_error(matrix, fit) == float(np.sum(matrix * matrix))
 
 
 def test_best_subspace_residuals_match_unbatched_fits():

@@ -16,6 +16,7 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
+from unionfit.metrics import nearest, residuals
 
 
 def axes_bundle():
@@ -251,3 +252,39 @@ def test_noisy_witness_with_oracle_bundle():
     assert report.error > 0
     assert bundle_error(data, report.bundle) <= report.error + 1e-10
     assert not bundle_error(data, report.bundle) <= report.error / 2 + 1e-10
+
+
+def test_residuals_of_a_stack_equal_per_basis_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    points = rng.normal(size=(6, 40))
+    for t in (0, 1, 3):
+        stack = np.ascontiguousarray(
+            [np.linalg.qr(rng.normal(size=(6, 6)))[0][:, :t] for _ in range(4)]
+        )
+        rows = residuals(points, stack)
+        assert rows.shape == (4, 40)
+        for row, basis in zip(rows, stack):
+            assert np.array_equal(row, residuals(points, basis))
+
+
+def test_residuals_to_an_empty_basis_are_the_squared_norms():
+    points = np.random.default_rng(37).normal(size=(12, 30))
+    norms = np.sum(points * points, axis=0)
+    assert np.array_equal(residuals(points, np.zeros((12, 0))), norms)
+    assert np.array_equal(residuals(points, np.zeros((3, 12, 0))), [norms] * 3)
+    # Column-major points give the same floats: every row of the residual
+    # is summed in the same order whatever the layout of the points.
+    assert np.array_equal(
+        residuals(np.asfortranarray(points), np.zeros((12, 0))), norms
+    )
+
+
+def test_nearest_breaks_exact_ties_to_the_lowest_index():
+    table = np.array([
+        [2.0, 1.0, 3.0, 0.5],
+        [1.0, 1.0, 3.0, 0.5],
+        [1.0, 2.0, 3.0, 0.7],
+    ])
+    labels, dist2 = nearest(table)
+    assert labels.tolist() == [1, 0, 0, 0]
+    assert dist2.tolist() == [1.0, 1.0, 3.0, 0.5]

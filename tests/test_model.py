@@ -107,6 +107,13 @@ def test_normalize_zero_data_raises():
         normalize_dataset(DataSet(np.zeros((3, 2))))
 
 
+def test_normalize_rejects_a_norm_past_the_float_range():
+    data = DataSet(np.full((2, 3), 1e200))
+    assert data.frobenius_norm == np.inf  # and no overflow warning
+    with pytest.raises(OutOfRange):
+        normalize_dataset(data)
+
+
 def test_normalize_preserves_rank_and_angles():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 4)) * 37.0
@@ -195,7 +202,20 @@ def test_subspace_from_span_truncates_to_rank():
     assert sub.dim == 1
     expected = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
     assert np.allclose(sub.projector(), np.outer(expected, expected), atol=1e-12)
-    assert Subspace.from_span(np.zeros((3, 2))).dim == 0
+    for vectors in (np.zeros((3, 0)), np.zeros((3, 2)), np.zeros(3)):
+        sub = Subspace.from_span(vectors)
+        assert sub.basis.shape == (3, 0) and sub.basis.dtype == float
+    line = Subspace.from_span(np.array([3.0, 0.0, 4.0]))  # a 1-d vector
+    assert line.basis.shape == (3, 1)
+    assert np.allclose(np.abs(line.basis[:, 0]), [0.6, 0.0, 0.8], atol=1e-15)
+
+
+def test_dataset_take_slices_columns_and_may_take_none():
+    data = DataSet(np.arange(6.0).reshape(2, 3))
+    empty = data.take([])
+    assert empty.shape == (2, 0) and empty.dtype == float
+    assert np.array_equal(data.take([2, 0]), [[2.0, 0.0], [5.0, 3.0]])
+    assert np.array_equal(data.take(range(3)), data.points)
 
 
 def test_bundle_validation():

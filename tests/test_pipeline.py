@@ -75,6 +75,19 @@ def test_min_reduced_dim_rejects_bad_params():
         min_reduced_dim(0.5, 0.1, 2, 1, 3, 5)
 
 
+@pytest.mark.parametrize("bound, args", [
+    (min_reduced_dim, (1e-300, 0.5, 2, 5, 1, 10)),  # eta * eta underflows to 0
+    (min_reduced_dim, (1e-160, 0.5, 2, 5, 1, 10)),  # r overflows to inf
+    (min_reduced_dim, (0.5, 0.5, 2, 5, 1, 10**400)),
+    (theorem_bound, (1.7e308, 0.9, 2, 5, 1)),
+    (theorem_bound, (0.1, 0.5, 2, 10**400, 1)),
+    (eta_admissibility_epsilon, (0.5, 2, 10**400, 1)),
+], ids=["eta-underflow", "r-overflow", "huge-m", "huge-e0", "huge-d", "eta-huge-d"])
+def test_bounds_past_the_float_range_raise_out_of_range(bound, args):
+    with pytest.raises(OutOfRange):
+        bound(*args)
+
+
 def test_eta_admissibility_epsilon():
     assert eta_admissibility_epsilon(0.37, 3, 2, 2) == pytest.approx(0.37, rel=1e-12)
     assert eta_admissibility_epsilon(0.5, 2, 3, 1) == pytest.approx(1.0 / 6.0, rel=1e-12)
