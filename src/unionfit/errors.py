@@ -68,6 +68,18 @@ def require_int(name: str, value, minimum=None, error=InvalidSpec):
         raise error(f"{name} must be at least {minimum}, got {value}")
 
 
+# The oracle numbers labelings by int64 digits, so l^m must fit in one,
+# and so must any budget it is held to.
+MAX_ORACLE_BUDGET = 2**63 - 1
+
+
+def require_budget(name: str, value, error=InvalidSpec):
+    """An enumeration budget: an integer in 1 .. MAX_ORACLE_BUDGET."""
+    require_int(name, value, minimum=1, error=error)
+    if value > MAX_ORACLE_BUDGET:
+        raise error(f"{name} must be at most 2^63 - 1, got {value}")
+
+
 def require_finite(name: str, value, minimum=None, error=InvalidSpec):
     """A finite real number (not a bool) of at least ``minimum``."""
     if not (_is_real(value) and math.isfinite(value)) or (

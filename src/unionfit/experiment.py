@@ -91,11 +91,13 @@ def run_trial(
     """One sketch/solve/lift trial on unit-Frobenius ``data``.
 
     The sketch dimension and bound epsilon come from ``reduction`` (fixed
-    r, or the closed-form minimum for (eta, delta)).  The full-space
-    optimum e0 is certified by the oracle whenever l^m fits the solver's
-    budget; the report's bound columns are filled when both e0 and
-    epsilon are known.
+    r, or the closed-form minimum for (eta, delta)).  When the derived r
+    reaches N, the sketch is the N x N identity, which loses nothing, and
+    r reads N.  The full-space optimum e0 is certified by the oracle
+    whenever l^m fits the solver's budget; the report's bound columns are
+    filled when both e0 and epsilon are known.
     """
+    matrix = None
     if reduction.r is not None:
         r, epsilon = reduction.r, reduction.epsilon
     else:
@@ -104,6 +106,8 @@ def run_trial(
             reduction.eta, reduction.delta, n_subspaces, d, max_dim, data.count
         )
         epsilon = eta_admissibility_epsilon(reduction.eta, n_subspaces, d, max_dim)
+        if r >= data.ambient_dim:
+            r, matrix = data.ambient_dim, np.eye(data.ambient_dim)
 
     e0 = None
     if within_budget(n_subspaces, data.count, solver_cfg.oracle_budget):
@@ -118,7 +122,8 @@ def run_trial(
         seed=sketch_seed,
     )
     return reduce_solve_lift(
-        data, spec, n_subspaces, max_dim, solver_cfg, epsilon=epsilon, e0=e0
+        data, spec, n_subspaces, max_dim, solver_cfg, epsilon=epsilon, e0=e0,
+        matrix=matrix,
     )
 
 

@@ -47,16 +47,6 @@ def nearest(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, table[labels, np.arange(table.shape[1])]
 
 
-def residual_norms_sq(matrix: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """Squared distance of every column to the subspace, in column order."""
-    if matrix.shape[0] != subspace.ambient_dim:
-        raise DimensionMismatch(
-            f"points live in dimension {matrix.shape[0]}, "
-            f"subspace in {subspace.ambient_dim}"
-        )
-    return residuals(matrix, subspace.basis)
-
-
 def dist2_to_subspace(point, subspace: Subspace) -> float:
     """Squared euclidean distance of one vector to a subspace."""
     f = np.asarray(point, dtype=float)
@@ -89,7 +79,13 @@ def group_error(matrix, subspace: Subspace) -> float:
 
     Additive over disjoint slices; the sum runs in ascending column order.
     """
-    return float(np.sum(residual_norms_sq(as_columns(matrix), subspace)))
+    pts = as_columns(matrix)
+    if pts.shape[0] != subspace.ambient_dim:
+        raise DimensionMismatch(
+            f"points live in dimension {pts.shape[0]}, "
+            f"subspace in {subspace.ambient_dim}"
+        )
+    return float(np.sum(residuals(pts, subspace.basis)))
 
 
 def ek_min_error(matrix, k: int) -> float:

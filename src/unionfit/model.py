@@ -143,10 +143,6 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0)))
-
-    @classmethod
     def from_span(cls, vectors: np.ndarray) -> "Subspace":
         """Orthonormal basis for the span of the given columns."""
         a = np.asarray(vectors, dtype=float)
@@ -154,14 +150,6 @@ class Subspace:
             a = a[:, None]
         u, dim = svd_basis(a, a.shape[1])
         return cls(u[:, :dim])
-
-    def projector(self) -> np.ndarray:
-        """Q Q^T, the orthogonal projector onto the subspace.
-
-        Bases are only unique up to rotation/sign, so subspaces should be
-        compared through their projectors, never entrywise.
-        """
-        return self.basis @ self.basis.T
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .errors import (
     OutOfRange,
     check_bound_shape,
     require_acts_on,
+    require_budget,
     require_finite,
     require_int,
     require_unit_interval,
@@ -56,8 +57,9 @@ class SolverConfig:
     stop_below: float | None = None
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter", "oracle_budget"):
+        for name in ("restarts", "max_iter"):
             require_int(name, getattr(self, name), minimum=1)
+        require_budget("oracle_budget", self.oracle_budget)
         require_int("seed", self.seed)
         require_finite("tol", self.tol, minimum=0)
         if self.stop_below is not None:
@@ -170,7 +172,8 @@ def reduce_solve_lift(
     ``data`` must have unit Frobenius norm.  The reduced instance is
     solved exactly by the oracle whenever l^m fits the configured budget,
     otherwise by seeded multi-restart alternation.  Passing ``matrix``
-    bypasses sampling (used to inject lossless embeddings in tests).
+    bypasses sampling: ``run_trial`` passes the identity when the derived
+    r reaches N, and tests inject lossless embeddings.
     """
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
     if abs(data.frobenius_norm - 1.0) > NORMALIZATION_TOL:

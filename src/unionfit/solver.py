@@ -14,6 +14,7 @@ from .errors import (
     InvalidInit,
     OutOfRange,
     check_model_dims,
+    require_budget,
     require_instance,
     require_int,
 )
@@ -62,8 +63,9 @@ class SolveReport:
     (up to rounding for ``alternate_minimize(refit=False)``).
 
     ``certified_optimal`` is True only for reports produced by the
-    exhaustive oracle.  ``iterations`` and ``error_traces`` hold one entry
-    per restart (empty for the oracle); ``winner`` indexes the restart the
+    exhaustive oracle.  ``error_traces`` holds one trace per restart
+    (none for the oracle), so ``restarts_used`` counts the traces and
+    ``iterations`` their lengths; ``winner`` indexes the restart the
     returned model came from.  A trace lists the error after each
     iteration; its last entry is the SVD-refit error of the restart when
     that restart was refitted, else its last Gram-fit error.  ``seed`` is
@@ -73,12 +75,18 @@ class SolveReport:
     bundle: Bundle
     partition: Partition
     error: float
-    restarts_used: int
-    iterations: tuple[int, ...]
-    seed: int
-    certified_optimal: bool
-    error_traces: tuple[tuple[float, ...], ...]
-    winner: int
+    certified_optimal: bool = False
+    seed: int = 0
+    error_traces: tuple[tuple[float, ...], ...] = ()
+    winner: int = 0
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.error_traces)
+
+    @property
+    def iterations(self) -> tuple[int, ...]:
+        return tuple(map(len, self.error_traces))
 
 
 def _reseed_empty_groups(
@@ -192,17 +200,7 @@ def alternate_minimize(
         bundle, partition, errors[-1] = _svd_refit(data, partition, max_dim)
     else:
         bundle = Bundle(tuple(Subspace(q) for q in bases), cap_dim=max_dim)
-    return SolveReport(
-        bundle=bundle,
-        partition=partition,
-        error=errors[-1],
-        restarts_used=1,
-        iterations=(len(errors),),
-        seed=0,
-        certified_optimal=False,
-        error_traces=(tuple(errors),),
-        winner=0,
-    )
+    return SolveReport(bundle, partition, errors[-1], error_traces=(tuple(errors),))
 
 
 def random_partition(
@@ -312,15 +310,7 @@ def solve_best_model(
         for r, run in enumerate(runs)
     )
     return SolveReport(
-        bundle=bundle,
-        partition=partition,
-        error=error,
-        restarts_used=len(runs),
-        iterations=tuple(run.iterations[0] for run in runs),
-        seed=seed,
-        certified_optimal=False,
-        error_traces=traces,
-        winner=winner,
+        bundle, partition, error, seed=seed, error_traces=traces, winner=winner
     )
 
 
@@ -401,32 +391,30 @@ def _canonical_labelings(count: int, n_groups: int, batch: int):
     """Restricted-growth strings in lexicographic order, ``batch`` at a time.
 
     A labeling is canonical when each label first appears after every
-    smaller label (Knuth, TAOCP 4A, 7.2.1.5).  It is the lexicographically
-    first labeling of its class under permutations of the group labels,
-    and each class has exactly one.  Yields int arrays of shape
-    (<= batch, count); the enumeration is iterative, so any ``count``
-    works.
+    smaller label (Knuth, TAOCP 4A, 7.2.1.5), that is when no label is
+    more than one above the largest label before it.  It is the
+    lexicographically first labeling of its class under permutations of
+    the group labels, and each class has exactly one.  The canonical
+    labelings are those among the base-l digits of 0 ... l^(m-1) - 1,
+    made as int64 in chunks of about ``ORACLE_BATCH_FLOATS`` digits; an
+    enumeration budget keeps l^m within int64.  Yields int arrays of
+    shape (batch, count), the last one possibly shorter.
     """
-    labels = [0] * count
-    top = [0] * count  # top[j] = max(labels[: j + 1])
-    block = []
-    while True:
-        block.append(labels.copy())
-        if len(block) == batch:
-            yield np.array(block)
-            block = []
-        # The rightmost position that may still grow, given its prefix.
-        j = count - 1
-        while j > 0 and labels[j] == min(n_groups - 1, top[j - 1] + 1):
-            j -= 1
-        if j == 0:
-            break
-        labels[j] += 1
-        top[j] = max(top[j - 1], labels[j])
-        labels[j + 1 :] = [0] * (count - j - 1)
-        top[j + 1 :] = [top[j]] * (count - j - 1)
-    if block:
-        yield np.array(block)
+    total = n_groups ** (count - 1)
+    powers = n_groups ** np.arange(count - 1, -1, -1)
+    step = max(1, ORACLE_BATCH_FLOATS // count)
+    kept = np.empty((0, count), dtype=int)
+    for start in range(0, total, step):
+        numbers = np.arange(start, min(start + step, total))
+        digits = numbers // powers[:, None] % n_groups  # a row per position
+        top = np.maximum.accumulate(digits, axis=0)
+        canonical = np.all(digits[1:] <= top[:-1] + 1, axis=0)
+        kept = np.concatenate([kept, digits[:, canonical].T])
+        full = len(kept) - len(kept) % batch
+        yield from kept[:full].reshape(-1, batch, count)
+        kept = kept[full:]
+    if len(kept):
+        yield kept
 
 
 def brute_force_oracle(
@@ -444,14 +432,15 @@ def brute_force_oracle(
     canonical labeling per permutation class is scored: sum over j <= l of
     S(m, j), about l^m / l!.  The first strict minimum in lexicographic
     order is canonical, so the result equals that of all l^m labelings.
-    The budget still counts l^m.  The winner is refitted by ``_svd_refit``:
-    the returned partition is the nearest-subspace assignment under the
-    optimal bundle, which also generates that bundle (up to numerical
-    error), and the error sums that assignment's distances, which is
-    ``bundle_error`` of the bundle bit for bit.
+    The budget still counts l^m, and is at most 2^63 - 1.  The winner is
+    refitted by ``_svd_refit``: the returned partition is the
+    nearest-subspace assignment under the optimal bundle, which also
+    generates that bundle (up to numerical error), and the error sums that
+    assignment's distances, which is ``bundle_error`` of the bundle bit
+    for bit.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
-    require_int("budget", budget, minimum=1, error=OutOfRange)
+    require_budget("budget", budget, error=OutOfRange)
     if not within_budget(n_subspaces, data.count, budget):
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
@@ -472,14 +461,4 @@ def brute_force_oracle(
     bundle, partition, error = _svd_refit(
         data, Partition(best_labels, n_subspaces), max_dim
     )
-    return SolveReport(
-        bundle=bundle,
-        partition=partition,
-        error=error,
-        restarts_used=0,
-        iterations=(),
-        seed=0,
-        certified_optimal=True,
-        error_traces=(),
-        winner=0,
-    )
+    return SolveReport(bundle, partition, error, certified_optimal=True)

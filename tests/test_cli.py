@@ -102,6 +102,22 @@ def test_oracle_command_and_budget_exit_code(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--budget", 2**63),
+    ("reduce-solve", "--data", "DATA", "-l", 2, "-k", 1, "--r", 3,
+     "--oracle-budget", 2**63),
+], ids=["oracle", "reduce-solve"])
+def test_budget_past_int64_exits_2(tmp_path, capsys, argv):
+    data = str(generate_dataset(tmp_path))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = [data if a == "DATA" else a for a in argv]
+    assert run_cli(*argv, "--out", out) == 2
+    assert "budget must be at most 2^63 - 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*argv[:-1], 2**63 - 1, "--out", out) == 0
+
+
 def test_reduce_solve_command(tmp_path):
     out = generate_dataset(tmp_path, noise="0.05")
     report_path = tmp_path / "lift.json"
@@ -127,7 +143,7 @@ def test_reduce_solve_eta_mode(tmp_path):
     )
     assert code == 0
     report = json.loads(report_path.read_text())
-    assert report["r"] >= 1
+    assert report["r"] == 6  # the derived r is past N = 6: the identity sketch
     assert 0 < report["epsilon"] < 1
 
 
@@ -319,12 +335,14 @@ def test_each_subcommand_accepts_exactly_the_options_it_reads():
         assert dests == SUBCOMMAND_DESTS[name], name
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """Every ``unionfit`` command in README's ``sh`` blocks, without the
     program name, continuation lines joined and comments dropped."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("unionfit "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -341,6 +359,18 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: unionfit {shlex.join(argv)}")
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every README command runs, in README order, in an empty directory
+    holding the README's experiment config, and exits 0."""
+    (config,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(config)
+    for argv in readme_commands():
+        assert main(argv) == 0, f"unionfit {shlex.join(argv)}"
+    capsys.readouterr()
+    assert (tmp_path / "rows.csv").exists() and (tmp_path / "summary.json").exists()
 
 
 def test_solver_flag_defaults_come_from_solver_config():
@@ -456,6 +486,7 @@ SYNTHETIC = {"ambient_dim": 8, "n_subspaces": 2, "max_dim": 1, "n_points": 6}
     {"dataset": {"synthetic": {**SYNTHETIC, "n_points": 6.5}}},
     {"dataset": {"synthetic": {**SYNTHETIC, "n_points": 8, "balance": [4.9, 4.9]}}},
     {"solver": {"seed": 5}},
+    {"solver": {"oracle_budget": 2**63}},
     {"reduction": {"eta": 0.9, "delta": 0.5, "epsilon": 0.3}},
     {"reduction": {"r": 3, "seed": 1}},
     {"model": {"n_subspaces": 2, "max_dim": 1, "n_subspace": 3}},

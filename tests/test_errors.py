@@ -11,6 +11,7 @@ from unionfit import (
     InvalidSpec,
     OutOfRange,
     ReductionConfig,
+    SolverConfig,
     c0,
     min_reduced_dim,
     theorem_bound,
@@ -18,6 +19,7 @@ from unionfit import (
 from unionfit.errors import (
     check_model_dims,
     require_acts_on,
+    require_budget,
     require_finite,
     require_int,
     require_unit_interval,
@@ -87,3 +89,14 @@ def test_entry_points_keep_their_exception_class():
             call()
     with pytest.raises(InvalidSpec):
         ReductionConfig(r=3, epsilon=1.5)
+
+
+def test_require_budget_fits_an_int64():
+    for value in (1, 2**63 - 1):
+        require_budget("budget", value)
+    for value in (0, 2**63, 2**70, 1.0, True):
+        with pytest.raises(OutOfRange):
+            require_budget("budget", value, error=OutOfRange)
+    with pytest.raises(InvalidSpec, match="oracle_budget must be at most 2"):
+        SolverConfig(oracle_budget=2**63)
+    assert SolverConfig(oracle_budget=2**63 - 1).oracle_budget == 2**63 - 1

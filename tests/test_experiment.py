@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from unionfit import (
     DataSet,
     InvalidSpec,
+    RandomSpec,
     ReductionConfig,
     SolverConfig,
     config_from_dict,
@@ -17,6 +18,8 @@ from unionfit import (
     load_dataset,
     normalize_dataset,
     run_experiment,
+    min_reduced_dim,
+    reduce_solve_lift,
     save_dataset,
 )
 from unionfit.experiment import ROW_FIELDS, derive_seed, rows_to_csv_text, run_trial
@@ -143,7 +146,7 @@ def test_eta_mode_derives_r_and_epsilon(tmp_path):
     )
     result = run_experiment(cfg)
     row = result.rows[0]
-    assert row["r"] >= 1
+    assert row["r"] == 5  # the derived r is past N = 5: the identity sketch
     assert 0 < row["epsilon"] < 1
     assert result.exit_code == 0
     # noiseless data: certified zero optimum and a satisfied bound
@@ -258,6 +261,30 @@ def test_lifted_error_never_below_full_space_optimum(trial):
     report = run_trial(data, 2, k, reduction, SolverConfig(), sketch_seed)
     assert report.e0 is not None and report.reduced_certified_optimal
     assert report.lifted_error >= report.e0
+
+
+@pytest.mark.parametrize("ambient_dim", [136, 137, 150])
+def test_derived_r_at_or_past_n_sketches_by_the_identity(ambient_dim):
+    """Auto mode derives r = 137 here: below N = 150 the sketch is drawn as
+    before; at N = 137 and N = 136 it is the N x N identity, and the row's
+    r reads N."""
+    rng = np.random.default_rng(8)
+    data = normalize_dataset(DataSet(rng.normal(size=(ambient_dim, 2))))
+    reduction = ReductionConfig(eta=0.99, delta=0.99)
+    cfg = SolverConfig(seed=4)
+    derived = min_reduced_dim(0.99, 0.99, 1, data.numerical_rank, 1, data.count)
+    assert derived == 137
+    report = run_trial(data, 1, 1, reduction, cfg, sketch_seed=6)
+    r = min(derived, ambient_dim)
+    spec = RandomSpec("gaussian", r, ambient_dim, seed=6)
+    matrix = np.eye(ambient_dim) if derived >= ambient_dim else None
+    expected = reduce_solve_lift(data, spec, 1, 1, cfg, epsilon=report.epsilon,
+                                 e0=report.e0, matrix=matrix)
+    assert report.r == r
+    assert report.reduced_error == expected.reduced_error
+    assert report.lifted_error == expected.lifted_error
+    if matrix is not None:  # the identity loses nothing
+        assert report.reduced_error == report.lifted_error == report.e0
 
 
 def test_hard_invariant_failure_sets_exit_code(monkeypatch):

@@ -18,11 +18,13 @@ from unionfit import (
     partition_from_bundle,
 )
 from unionfit.fitting import best_subspace_residuals, gram_basis
-from unionfit.metrics import residual_norms_sq
+from unionfit.metrics import residuals
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
-    return float(np.linalg.norm(a.projector() - b.projector()))
+    """Subspaces are compared through their projectors Q Q^T: a basis is
+    unique only up to rotation and sign."""
+    return float(np.linalg.norm(a.basis @ a.basis.T - b.basis @ b.basis.T))
 
 
 def test_best_subspace_rank_one_data():
@@ -60,7 +62,7 @@ def test_best_subspace_residuals_match_unbatched_fits():
     for k in range(3):
         rows = best_subspace_residuals(pts, members, k)
         for row, member in zip(rows, members):
-            expected = residual_norms_sq(pts, best_subspace(pts[:, member], k))
+            expected = residuals(pts, best_subspace(pts[:, member], k).basis)
             assert np.array_equal(row, expected)
 
 
@@ -87,8 +89,8 @@ def test_gram_basis_matches_svd_fit():
             svd = best_subspace(x, k)
             assert q.shape == (n, svd.dim), (name, k)
             assert np.allclose(q.T @ q, np.eye(svd.dim), atol=1e-12)
-            ours = residual_norms_sq(points, Subspace(q))
-            theirs = residual_norms_sq(points, svd)
+            ours = residuals(points, q)
+            theirs = residuals(points, svd.basis)
             assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
 
 

@@ -64,6 +64,9 @@ def test_dist2_dimension_mismatch():
     v = Subspace(np.array([[1.0], [0.0]]))
     with pytest.raises(DimensionMismatch):
         dist2_to_subspace(np.array([1.0, 0.0, 0.0]), v)
+    for slice_ in (np.ones((3, 2)), np.ones(3), np.zeros((3, 0))):
+        with pytest.raises(DimensionMismatch):
+            group_error(slice_, v)
 
 
 def test_bundle_error_on_exact_union_is_zero():
@@ -77,7 +80,7 @@ def test_bundle_error_on_exact_union_is_zero():
 
 def test_bundle_error_zero_subspace_gives_norm_squared():
     data = DataSet(np.array([[3.0, 0.0], [4.0, 1.0]]))
-    bundle = Bundle((Subspace.zero(2),), cap_dim=1)
+    bundle = Bundle((Subspace(np.zeros((2, 0))),), cap_dim=1)
     assert bundle_error(data, bundle) == pytest.approx(data.frobenius_norm**2)
 
 
@@ -173,10 +176,8 @@ def test_bundle_error_additivity_and_generated_equality():
 def test_bundle_error_scaling_covariance():
     rng = np.random.default_rng(89)
     data = DataSet(rng.normal(size=(5, 7)))
-    bundle = Bundle(
-        (Subspace(np.linalg.qr(rng.normal(size=(5, 2)))[0]), Subspace.zero(5)),
-        cap_dim=2,
-    )
+    plane = Subspace(np.linalg.qr(rng.normal(size=(5, 2)))[0])
+    bundle = Bundle((plane, Subspace(np.zeros((5, 0)))), cap_dim=2)
     base = bundle_error(data, bundle)
     for alpha in (0.1, 2.0, 31.0):
         scaled = bundle_error(DataSet(alpha * data.points), bundle)

@@ -88,6 +88,31 @@ def assert_oracle_matches_reference(data: DataSet, n_groups: int, k: int):
     return report
 
 
+def reference_canonical_labelings(count: int, n_groups: int, batch: int):
+    """The oracle's original enumeration, kept as its reference: a successor
+    loop over restricted-growth strings, one step per labeling."""
+    labels = [0] * count
+    top = [0] * count  # top[j] = max(labels[: j + 1])
+    block = []
+    while True:
+        block.append(labels.copy())
+        if len(block) == batch:
+            yield np.array(block)
+            block = []
+        # The rightmost position that may still grow, given its prefix.
+        j = count - 1
+        while j > 0 and labels[j] == min(n_groups - 1, top[j - 1] + 1):
+            j -= 1
+        if j == 0:
+            break
+        labels[j] += 1
+        top[j] = max(top[j - 1], labels[j])
+        labels[j + 1 :] = [0] * (count - j - 1)
+        top[j + 1 :] = [top[j]] * (count - j - 1)
+    if block:
+        yield np.array(block)
+
+
 def reference_reseed(partition: Partition, dist2: np.ndarray) -> Partition:
     """The original Partition-based reseed of empty groups."""
     sizes = [len(g) for g in partition.groups]
@@ -800,6 +825,21 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
     assert solver._cores() == 1
 
 
+@pytest.mark.parametrize("batch", [1, 7, 136])
+def test_canonical_labelings_match_the_successor_loop(batch):
+    """The same labelings in the same blocks, so the oracle scores them in
+    the same order and batches as the loop it replaced.  From l = 3,
+    m = 10 and l = 4, m = 8 the digits take several chunks."""
+    for count in range(1, 12):
+        for n_groups in range(1, 5):
+            ours = list(solver._canonical_labelings(count, n_groups, batch))
+            theirs = list(reference_canonical_labelings(count, n_groups, batch))
+            assert len(ours) == len(theirs), (count, n_groups)
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b), (count, n_groups)
+
+
 def test_oracle_axis_instance():
     data = DataSet(np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0]]))
     report = brute_force_oracle(data, 2, 1)
@@ -845,8 +885,8 @@ def test_oracle_matches_naive_enumeration_exactly():
     on_axis[0] = np.arange(1.0, 8.0)
     for pts, k in ((tall, 0), (tall, 1), (on_axis, 1)):
         assert_oracle_matches_reference(DataSet(pts), 2, k)
-    # l = 1 admits any m within the budget: enumeration must not recurse
-    # or pack labels into a machine word.
+    # l = 1 admits any m within the budget: its one labeling is all zeros,
+    # whatever the length.
     data = DataSet(rng.normal(size=(3, 200)))
     report = assert_oracle_matches_reference(data, 1, 1)
     assert report.error == pytest.approx(ek_min_error(data.points, 1), rel=1e-9)
@@ -883,6 +923,34 @@ def test_oracle_budget():
     assert info.value.budget == 1000
     with pytest.raises(OutOfRange):
         brute_force_oracle(data, 2, 1, budget=0)
+
+
+def test_oracle_budget_fits_the_int64_digits():
+    """Labelings are int64 digits, so a budget past 2^63 - 1 is refused."""
+    data = DataSet(np.random.default_rng(1).normal(size=(3, 6)))
+    with pytest.raises(OutOfRange, match="at most 2"):
+        brute_force_oracle(data, 2, 1, budget=2**63)
+    assert brute_force_oracle(data, 2, 1, budget=2**63 - 1).certified_optimal
+
+
+def test_report_counts_come_from_the_traces():
+    rng = np.random.default_rng(21)
+    data = DataSet(rng.normal(size=(4, 9)))
+    init = random_partition(data.count, 2, seed=1)
+    reports = [
+        alternate_minimize(data, 2, 1, init),
+        alternate_minimize(data, 2, 1, init, refit=False),
+        solve_best_model(data, 2, 1, restarts=5, seed=4),
+        solve_best_model(data, 2, 1, restarts=5, seed=4, stop_below=1e300),
+        brute_force_oracle(data, 2, 1),
+    ]
+    for report in reports:
+        assert report.restarts_used == len(report.error_traces)
+        assert report.iterations == tuple(map(len, report.error_traces))
+    am, _, full, stopped, oracle = reports
+    assert am.restarts_used == 1 and am.iterations[0] >= 1
+    assert full.restarts_used == 5 and stopped.restarts_used == 1
+    assert (oracle.restarts_used, oracle.iterations, oracle.winner) == (0, (), 0)
 
 
 def test_oracle_dominates_heuristic():
