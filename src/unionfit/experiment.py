@@ -28,14 +28,15 @@ from .io import load_dataset
 from .metrics import bundle_error
 from .model import SEED_MASK, DataSet, normalize_dataset
 from .pipeline import (
+    BOUND_SLACK,
     LiftReport,
     SolverConfig,
     eta_admissibility_epsilon,
+    lift,
     min_reduced_dim,
     reduce_solve_lift,
 )
 from .projection import DISTRIBUTIONS, RandomSpec
-from .solver import brute_force_oracle, within_budget
 from .synthetic import SyntheticSpec, generate_synthetic
 
 ROW_FIELDS = (
@@ -90,14 +91,13 @@ def run_trial(
 ) -> LiftReport:
     """One sketch/solve/lift trial on unit-Frobenius ``data``.
 
-    The sketch dimension and bound epsilon come from ``reduction`` (fixed
-    r, or the closed-form minimum for (eta, delta)).  When the derived r
-    reaches N, the sketch is the N x N identity, which loses nothing, and
-    r reads N.  The full-space optimum e0 is certified by the oracle
-    whenever l^m fits the solver's budget; the report's bound columns are
-    filled when both e0 and epsilon are known.
+    r and the bound epsilon come from ``reduction`` (fixed r, or the
+    closed-form minimum for (eta, delta)) before any solve, and e0 from
+    ``solver_cfg.certify`` (None past the oracle budget).  A derived r of
+    at least N would sketch by the identity, so the full-space report
+    (certified, else one ``solver_cfg.solve``) is lifted as the reduced
+    one, and r reads N.
     """
-    matrix = None
     if reduction.r is not None:
         r, epsilon = reduction.r, reduction.epsilon
     else:
@@ -106,24 +106,15 @@ def run_trial(
             reduction.eta, reduction.delta, n_subspaces, d, max_dim, data.count
         )
         epsilon = eta_admissibility_epsilon(reduction.eta, n_subspaces, d, max_dim)
-        if r >= data.ambient_dim:
-            r, matrix = data.ambient_dim, np.eye(data.ambient_dim)
 
-    e0 = None
-    if within_budget(n_subspaces, data.count, solver_cfg.oracle_budget):
-        e0 = brute_force_oracle(
-            data, n_subspaces, max_dim, budget=solver_cfg.oracle_budget
-        ).error
-
-    spec = RandomSpec(
-        distribution=reduction.distribution,
-        reduced_dim=r,
-        ambient_dim=data.ambient_dim,
-        seed=sketch_seed,
-    )
+    certified = solver_cfg.certify(data, n_subspaces, max_dim)
+    e0 = None if certified is None else certified.error
+    if reduction.r is None and r >= data.ambient_dim:
+        report = certified or solver_cfg.solve(data, n_subspaces, max_dim)
+        return lift(data, report, n_subspaces, max_dim, data.ambient_dim, epsilon, e0)
+    spec = RandomSpec(reduction.distribution, r, data.ambient_dim, seed=sketch_seed)
     return reduce_solve_lift(
-        data, spec, n_subspaces, max_dim, solver_cfg, epsilon=epsilon, e0=e0,
-        matrix=matrix,
+        data, spec, n_subspaces, max_dim, solver_cfg, epsilon=epsilon, e0=e0
     )
 
 
@@ -290,7 +281,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured trials; returns rows, summary, and an exit code.
 
     The exit code is 1 only when a hard internal invariant failed
-    (inconsistent or non-finite errors), never for a violated
+    (non-finite or inconsistent errors, or a lifted error below e0 or
+    above ||F||_F^2, the error of any bundle at 0), never for a violated
     probabilistic bound; those are merely counted.
     """
     t_start = time.perf_counter()
@@ -320,14 +312,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
 
         recomputed = bundle_error(data, report.lifted_bundle)
-        if not np.isfinite(report.lifted_error) or not np.isfinite(
-            report.reduced_error
-        ):
+        if not np.isfinite([report.lifted_error, report.reduced_error]).all():
             hard_failures.append(f"trial {trial}: non-finite error")
         elif abs(recomputed - report.lifted_error) > 1e-10:
             hard_failures.append(f"trial {trial}: inconsistent lifted error")
         elif report.e0 is not None and report.lifted_error < report.e0 - 1e-9:
             hard_failures.append(f"trial {trial}: lifted error below the optimum")
+        elif report.lifted_error > data.frobenius_norm**2 + BOUND_SLACK:
+            hard_failures.append(f"trial {trial}: lifted error above ||F||_F^2")
         if report.bound_satisfied is not None:
             bound_checked += 1
             if not report.bound_satisfied:

@@ -65,13 +65,14 @@ def matrix_rank(a: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class DataSet:
-    """m column points in R^N with cached Frobenius norm and numerical rank."""
+    """m column points in R^N, stored in C order whatever the input's layout
+    (so equal points give equal results), with cached norm and rank."""
 
     points: np.ndarray
     frobenius_norm: float = field(init=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2:
             raise DimensionMismatch(
                 f"points must form a 2-d matrix, got shape {pts.shape}"

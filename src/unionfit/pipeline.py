@@ -1,8 +1,9 @@
 """The reduce / solve / lift procedure and its closed-form error bounds.
 
 A unit-Frobenius dataset is sketched to dimension r, the best partition
-is found there (certified oracle when the instance is small enough), and
-the partition is refit against the original points.  The lifted error is
+is found there (by ``SolverConfig``'s one rule: the certified oracle when
+l^m fits its budget, else seeded restarts), and the partition is refit
+against the original points.  The lifted error is
 compared against the closed-form budget (1+eps) e0 + eps sqrt(l (d-k)).
 """
 
@@ -71,6 +72,15 @@ class SolverConfig:
             data, n_subspaces, max_dim, restarts=self.restarts, seed=self.seed,
             tol=self.tol, max_iter=self.max_iter, stop_below=self.stop_below,
         )
+
+    def certify(
+        self, data: DataSet, n_subspaces: int, max_dim: int
+    ) -> SolveReport | None:
+        """The oracle's certified optimum when l^m fits ``oracle_budget``,
+        else None: the one rule for when a space is solved exactly."""
+        if not within_budget(n_subspaces, data.count, self.oracle_budget):
+            return None
+        return brute_force_oracle(data, n_subspaces, max_dim, budget=self.oracle_budget)
 
 
 @dataclass(frozen=True)
@@ -170,41 +180,38 @@ def reduce_solve_lift(
     """Sketch the data, solve for the best partition there, refit in full space.
 
     ``data`` must have unit Frobenius norm.  The reduced instance is
-    solved exactly by the oracle whenever l^m fits the configured budget,
-    otherwise by seeded multi-restart alternation.  Passing ``matrix``
-    bypasses sampling: ``run_trial`` passes the identity when the derived
-    r reaches N, and tests inject lossless embeddings.
+    solved by ``certify`` when l^m fits the configured budget, otherwise
+    by seeded multi-restart alternation (``solve``); :func:`lift` then
+    refits the partition.  Passing ``matrix`` bypasses sampling: tests
+    inject lossless embeddings.
     """
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
+    a = sample_matrix(spec) if matrix is None else np.asarray(matrix, dtype=float)
+    shape = (spec.reduced_dim, spec.ambient_dim)
+    if a.shape != shape or spec.ambient_dim != data.ambient_dim:
+        raise DimensionMismatch(f"a sketch of shape {a.shape} (spec {shape}) cannot "
+                                f"act on points of dimension {data.ambient_dim}")
+
+    reduced = DataSet(a @ data.points)
+    report = cfg.certify(reduced, n_subspaces, max_dim)
+    if report is None:
+        report = cfg.solve(reduced, n_subspaces, max_dim)
+    return lift(data, report, n_subspaces, max_dim, spec.reduced_dim, epsilon, e0)
+
+
+def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
+         r: int, epsilon: float | None, e0: float | None) -> LiftReport:
+    """Refit against unit-Frobenius ``data`` the partition that ``report``
+    solved in an r-dim sketch of it; the bound is checked when both ``e0``
+    and ``epsilon`` are given."""
     if abs(data.frobenius_norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(
             f"dataset has Frobenius norm {data.frobenius_norm!r}; "
             "normalize it before reducing"
         )
-    if spec.ambient_dim != data.ambient_dim:
-        raise DimensionMismatch(
-            f"spec expects ambient dimension {spec.ambient_dim}, "
-            f"data has {data.ambient_dim}"
-        )
-    a = sample_matrix(spec) if matrix is None else np.asarray(matrix, dtype=float)
-    if a.shape != (spec.reduced_dim, spec.ambient_dim):
-        raise DimensionMismatch(
-            f"matrix shape {a.shape} does not match spec "
-            f"({spec.reduced_dim}, {spec.ambient_dim})"
-        )
-
-    reduced = DataSet(a @ data.points)
-    if within_budget(n_subspaces, data.count, cfg.oracle_budget):
-        report = brute_force_oracle(
-            reduced, n_subspaces, max_dim, budget=cfg.oracle_budget
-        )
-    else:
-        report = cfg.solve(reduced, n_subspaces, max_dim)
-
     lifted = bundle_from_partition(data, report.partition, max_dim)
     lifted_error = bundle_error(data, lifted)
-    bound = None
-    satisfied = None
+    bound = satisfied = None
     if e0 is not None and epsilon is not None:
         bound = theorem_bound(e0, epsilon, n_subspaces, data.numerical_rank, max_dim)
         satisfied = bool(lifted_error <= bound + BOUND_SLACK)
@@ -215,7 +222,7 @@ def reduce_solve_lift(
         reduced_error=report.error,
         epsilon=epsilon,
         e0=e0,
-        r=spec.reduced_dim,
+        r=r,
         bound_value=bound,
         bound_satisfied=satisfied,
         reduced_certified_optimal=report.certified_optimal,

@@ -81,7 +81,9 @@ def test_solve_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["error"] <= 1e-10
+    # 2^8 labelings fit the oracle budget, but solve runs the restarts
     assert report["certified_optimal"] is False
+    assert report["restarts_used"] == 10
     assert len(report["groups"]) == 2
 
 
@@ -145,6 +147,22 @@ def test_reduce_solve_eta_mode(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["r"] == 6  # the derived r is past N = 6: the identity sketch
     assert 0 < report["epsilon"] < 1
+
+
+def test_readme_small_recipe_solves_the_identity_sketch_once(tmp_path, capsys):
+    """README's small.csv with (eta, delta) derives r past N = 10: the
+    reduced problem is the full one, so it is solved once and its error is
+    e0 exactly."""
+    data = tmp_path / "small.csv"
+    assert run_cli("generate", "--ambient-dim", 10, "-l", 2, "-k", 1, "-m", 12,
+                   "--seed", 7, "--out", data) == 0
+    capsys.readouterr()
+    assert run_cli("reduce-solve", "--data", data, "-l", 2, "-k", 1,
+                   "--eta", "0.5", "--delta", "0.1") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["r"] == 10
+    assert report["reduced_error"] == report["e0"]
+    assert report["reduced_certified_optimal"] is True
 
 
 def test_reduce_solve_rejects_conflicting_sketch_flags(tmp_path):

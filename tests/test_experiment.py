@@ -304,6 +304,67 @@ def test_hard_invariant_failure_sets_exit_code(monkeypatch):
     assert "inconsistent lifted error" in result.summary["violations"]["hard_detail"][0]
 
 
+@pytest.mark.parametrize("excess, failed", [(0.0, False), (1e-6, True)])
+def test_lifted_error_above_the_data_norm_is_a_hard_failure(monkeypatch, excess,
+                                                            failed):
+    """0 lies in every subspace, so no bundle errs by more than ||F||_F^2.
+    A lifted error past it, that its recomputation agrees with, is the only
+    hard failure; one at ||F||_F^2 is none."""
+    import unionfit.experiment as exp
+
+    real = exp.reduce_solve_lift
+    inflated = {}
+
+    def past_the_norm(data, *args, **kwargs):
+        report = real(data, *args, **kwargs)
+        inflated["error"] = data.frobenius_norm**2 + excess
+        object.__setattr__(report, "lifted_error", inflated["error"])
+        return report
+
+    monkeypatch.setattr(exp, "reduce_solve_lift", past_the_norm)
+    monkeypatch.setattr(exp, "bundle_error", lambda data, bundle: inflated["error"])
+    result = run_experiment(small_config(trials=1))
+    assert result.exit_code == int(failed)
+    assert result.summary["violations"]["hard_detail"] == (
+        ["trial 0: lifted error above ||F||_F^2"] if failed else [])
+
+
+@pytest.mark.parametrize("reduction, oracle_runs", [
+    (ReductionConfig(r=3, epsilon=0.5), 2),
+    (ReductionConfig(eta=0.9, delta=0.5), 1),
+], ids=["fixed-r", "identity-sketch"])
+@pytest.mark.parametrize("below", [0, 1], ids=["l^m", "l^m-1"])
+def test_oracle_budget_decides_both_solves(monkeypatch, reduction, oracle_runs,
+                                           below):
+    """SolverConfig.certify is the one rule: with a budget of l^m the oracle
+    certifies e0 and the reduced solve, once each with a fixed r and once in
+    all for the identity sketch, which reuses the full-space report; one
+    labeling short of l^m, neither is certified and the oracle never runs."""
+    import unionfit.pipeline as pipe
+
+    real = pipe.brute_force_oracle
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].ambient_dim)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipe, "brute_force_oracle", counted)
+    data = normalize_dataset(DataSet(np.random.default_rng(12).normal(size=(6, 8))))
+    cfg = SolverConfig(restarts=4, seed=3, oracle_budget=2**8 - below)
+    report = run_trial(data, 2, 1, reduction, cfg, sketch_seed=5)
+    assert report.r == (reduction.r or data.ambient_dim)
+    if below:
+        assert report.e0 is None and not report.reduced_certified_optimal
+        assert runs == []
+    else:
+        assert report.e0 is not None and report.reduced_certified_optimal
+        assert len(runs) == oracle_runs
+    if reduction.r is None:
+        assert report.reduced_error == report.lifted_error
+        assert report.e0 in (None, report.reduced_error)
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

@@ -1004,3 +1004,25 @@ def test_refit_of_returned_partition_matches_returned_bundle():
     report = solve_best_model(data, 2, 2, restarts=10, seed=13)
     refit = bundle_from_partition(data, report.partition, 2)
     assert bundle_error(data, refit) <= report.error + 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@given(
+    arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(3, 7)),
+           elements=st.floats(-4, 4)),
+    st.integers(0, 2**16),
+)
+def test_memory_layout_never_changes_a_result(k, points, seed):
+    """A DataSet stores its points in C order, so a Fortran-ordered copy of
+    the same points gives == results from every solver and the error."""
+    row_major = DataSet(points)
+    col_major = DataSet(np.asfortranarray(points))
+    assert col_major.points.flags.c_contiguous
+    for solve in (
+        lambda data: brute_force_oracle(data, 2, k),
+        lambda data: solve_best_model(data, 2, k, restarts=3, seed=seed),
+    ):
+        a, b = solve(row_major), solve(col_major)
+        assert (a.error, a.partition, a.error_traces) == (
+            b.error, b.partition, b.error_traces)
+        assert bundle_error(row_major, a.bundle) == bundle_error(col_major, a.bundle)
