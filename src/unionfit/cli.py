@@ -112,6 +112,7 @@ def cmd_reduce_solve(args) -> int:
     report = run_trial(data, args.subspaces, args.max_dim, reduction, cfg,
                        sketch_seed=args.seed)
     payload = {f: getattr(report, f) for f in ROW_FIELDS[1:]}
+    payload["bound_informative"] = report.bound_informative
     payload["reduced_certified_optimal"] = report.reduced_certified_optimal
     payload["groups"] = [list(g) for g in report.reduced_partition.groups]
     _emit(payload, args.out)
@@ -150,7 +151,8 @@ def cmd_experiment(args) -> int:
     violations = result.summary["violations"]
     print(
         f"{totals['trials']} trials, bound checked on "
-        f"{totals['bound_checked']}, bound violations "
+        f"{totals['bound_checked']} (informative on "
+        f"{totals['bound_informative']}), bound violations "
         f"{violations['bound']}, hard failures {violations['hard']}"
     )
     return result.exit_code

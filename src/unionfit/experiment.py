@@ -296,6 +296,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[dict] = []
     per_trial_seconds: list[float] = []
     bound_checked = 0
+    bound_informative = 0
     bound_violations = 0
     hard_failures: list[str] = []
 
@@ -322,6 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             hard_failures.append(f"trial {trial}: lifted error above ||F||_F^2")
         if report.bound_satisfied is not None:
             bound_checked += 1
+            bound_informative += report.bound_informative
             if not report.bound_satisfied:
                 bound_violations += 1
 
@@ -332,7 +334,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     summary = {
         "config_echo": asdict(cfg),
-        "totals": {"trials": cfg.trials, "bound_checked": bound_checked},
+        "totals": {
+            "trials": cfg.trials,
+            "bound_checked": bound_checked,
+            "bound_informative": bound_informative,
+        },
         "violations": {
             "bound": bound_violations,
             "hard": len(hard_failures),

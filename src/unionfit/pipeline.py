@@ -88,7 +88,10 @@ class LiftReport:
     """Outcome of one reduce/solve/lift run.
 
     ``e0`` and ``epsilon`` echo the caller's arguments;
-    ``bound_value``/``bound_satisfied`` are filled only when both are given.
+    ``bound_value``/``bound_satisfied``/``bound_informative`` are filled
+    only when both are given.  A bound is informative when it lies below
+    ``||F||_F^2``, the error of any bundle at 0, which no lift exceeds; a
+    bound at or above it is satisfied by arithmetic alone.
     When the reduced instance exceeded the oracle budget the partition is
     only best-found, flagged by ``reduced_certified_optimal``.
     """
@@ -102,6 +105,7 @@ class LiftReport:
     r: int
     bound_value: float | None
     bound_satisfied: bool | None
+    bound_informative: bool | None
     reduced_certified_optimal: bool
 
 
@@ -211,10 +215,11 @@ def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
         )
     lifted = bundle_from_partition(data, report.partition, max_dim)
     lifted_error = bundle_error(data, lifted)
-    bound = satisfied = None
+    bound = satisfied = informative = None
     if e0 is not None and epsilon is not None:
         bound = theorem_bound(e0, epsilon, n_subspaces, data.numerical_rank, max_dim)
         satisfied = bool(lifted_error <= bound + BOUND_SLACK)
+        informative = bool(bound < data.frobenius_norm**2)
     return LiftReport(
         reduced_partition=report.partition,
         lifted_bundle=lifted,
@@ -225,5 +230,6 @@ def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
         r=r,
         bound_value=bound,
         bound_satisfied=satisfied,
+        bound_informative=informative,
         reduced_certified_optimal=report.certified_optimal,
     )

@@ -4,7 +4,9 @@ instances."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,7 +289,7 @@ def solve_best_model(
     if workers == 1:
         used = next((r + 1 for r in range(restarts) if run_restart(r)), restarts)
     else:
-        used = _run_threaded(run_restart, restarts, workers)
+        used = _run_threaded(lambda r, _: run_restart(r), range(restarts), workers)
     # Threads may have run restarts past the one that stopped the solve;
     # drop them, and their refits, as the sequential loop never ran them.
     runs = runs[:used]
@@ -335,43 +337,63 @@ def _blas_threads(cores: int) -> int:
     return cores
 
 
+def _workers(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: the cores BLAS leaves idle,
+    at most one per task."""
+    cores = _cores()
+    return max(1, min(tasks, cores // _blas_threads(cores)))
+
+
 def _restart_workers(n_floats: int, restarts: int) -> int:
     """Threads ``solve_best_model`` runs ``restarts`` restarts on, for data
-    of ``n_floats`` entries: the cores BLAS leaves idle, at most one per
-    restart, and one below ``PARALLEL_MIN_FLOATS``."""
+    of ``n_floats`` entries: one below ``PARALLEL_MIN_FLOATS``."""
     if n_floats < PARALLEL_MIN_FLOATS:
         return 1
-    cores = _cores()
-    return max(1, min(restarts, cores // _blas_threads(cores)))
+    return _workers(restarts)
 
 
-def _run_threaded(run_restart, restarts: int, workers: int) -> int:
-    """Run ``run_restart(r)`` for r = 0, 1, ... on ``workers`` threads, the
-    calling thread among them, until every index is handed out or one
-    returns True.  Returns the restart count the sequential loop uses:
-    one past the lowest index that returned True, else ``restarts``."""
+def _oracle_workers(count: int, n_groups: int, batch: int) -> int:
+    """Threads ``brute_force_oracle`` scores its blocks of ``batch``
+    labelings on: one when every canonical labeling fits in one block."""
+    if n_groups ** (count - 1) <= batch:  # even every digit string fits
+        return 1
+    row = [1] + [0] * n_groups  # Stirling numbers S(i, j), j = 0 .. l
+    for _ in range(count):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n_groups + 1)]
+    return _workers(-(-sum(row) // batch))
+
+
+def _run_threaded(run, tasks, workers: int) -> int:
+    """Call ``run(i, task)`` for each ``(i, task)`` of ``enumerate(tasks)``
+    on ``workers`` threads, the calling thread among them, until the tasks
+    run out or a call returns True.  Each thread draws the next task under
+    a lock, so ``tasks`` may be a generator.  Returns the count of tasks
+    the sequential loop runs: one past the lowest index whose call returned
+    True, else the number of tasks.  An exception raised in any call
+    propagates to the caller once every thread has finished its task."""
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     lock = threading.Lock()
+    source = enumerate(tasks)
     handed = 0
-    stop = restarts  # no index at or past this one is handed out
+    stop = sys.maxsize  # no index at or past this one is handed out
 
     def work() -> None:
         nonlocal handed, stop
         try:
             while True:
                 with lock:
-                    r = handed
-                    if r >= stop:
+                    item = next(source, None) if handed < stop else None
+                    if item is None:
                         return
                     handed += 1
-                if run_restart(r):
+                if run(*item):
                     with lock:
-                        stop = min(stop, r + 1)
+                        stop = min(stop, item[0] + 1)
         except BaseException:
             with lock:
-                stop = 0  # the other threads finish their restart and quit
+                stop = 0  # the other threads finish their task and quit
             raise
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
@@ -379,7 +401,7 @@ def _run_threaded(run_restart, restarts: int, workers: int) -> int:
         work()
         for helper in helpers:
             helper.result()
-    return stop
+    return min(stop, handed)
 
 
 def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
@@ -397,18 +419,35 @@ def _canonical_labelings(count: int, n_groups: int, batch: int):
     the group labels, and each class has exactly one.  The canonical
     labelings are those among the base-l digits of 0 ... l^(m-1) - 1,
     made as int64 in chunks of about ``ORACLE_BATCH_FLOATS`` digits; an
-    enumeration budget keeps l^m within int64.  Yields int arrays of
-    shape (batch, count), the last one possibly shorter.
+    enumeration budget keeps l^m within int64.  The numbers of a chunk
+    share the leading digits of its first and last number, so a chunk
+    whose shared digits already fail the test is skipped unmade; from
+    l = 4 on, most chunks fail.  Yields int arrays of shape
+    (batch, count), the last one possibly shorter.
     """
     total = n_groups ** (count - 1)
     powers = n_groups ** np.arange(count - 1, -1, -1)
     step = max(1, ORACLE_BATCH_FLOATS // count)
     kept = np.empty((0, count), dtype=int)
-    for start in range(0, total, step):
-        numbers = np.arange(start, min(start + step, total))
-        digits = numbers // powers[:, None] % n_groups  # a row per position
+
+    def digits_of(numbers):  # a row per position
+        digits = numbers // powers[:, None]
+        digits %= n_groups
+        return digits
+
+    def growth_ok(digits):  # per column: no digit above its prefix's max + 1
         top = np.maximum.accumulate(digits, axis=0)
-        canonical = np.all(digits[1:] <= top[:-1] + 1, axis=0)
+        top += 1
+        return np.all(digits[1:] <= top[:-1], axis=0)
+
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        ends = digits_of(np.array([start, stop - 1]))
+        shared = np.cumprod(ends[:, 0] == ends[:, 1]).sum()
+        if not growth_ok(ends[:shared])[0]:
+            continue
+        digits = digits_of(np.arange(start, stop))
+        canonical = growth_ok(digits)
         kept = np.concatenate([kept, digits[:, canonical].T])
         full = len(kept) - len(kept) % batch
         yield from kept[:full].reshape(-1, batch, count)
@@ -438,27 +477,53 @@ def brute_force_oracle(
     generates that bundle (up to numerical error), and the error sums that
     assignment's distances, which is ``bundle_error`` of the bundle bit
     for bit.
+
+    Blocks of labelings are scored on ``cores // blas_threads`` threads by
+    the rule of ``solve_best_model``, unless every canonical labeling fits
+    in one block; each thread scores blocks of ``1 / workers`` the size, so
+    the floats in flight stay within ``ORACLE_BATCH_FLOATS``.  A labeling's
+    score does not depend on its block, and the winner is the least
+    (error, block index), so every field of the report is bit-identical to
+    the one-thread run's.  An exception raised in a block propagates to the
+    caller.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     require_budget("budget", budget, error=OutOfRange)
     if not within_budget(n_subspaces, data.count, budget):
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
-    best_error = np.inf
-    best_labels = None
+    points = data.points
     groups = np.arange(n_subspaces)[:, None]
-    batch = max(1, ORACLE_BATCH_FLOATS // (n_subspaces * data.points.size))
-    for labels in _canonical_labelings(data.count, n_subspaces, batch):
+    batch = max(1, ORACLE_BATCH_FLOATS // (n_subspaces * points.size))
+    workers = _oracle_workers(data.count, n_subspaces, batch)
+    # The least (error, block index) scored so far and its labels: the
+    # first strict minimum in lexicographic order, whichever thread scores
+    # which block.
+    best = [np.inf, -1, None]
+    lock = contextlib.nullcontext()
+
+    def score(i: int, labels: np.ndarray) -> bool:
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
-        table = best_subspace_residuals(data.points, members, max_dim)
+        table = best_subspace_residuals(points, members, max_dim)
         table = table.reshape(len(labels), n_subspaces, data.count)
         errors = np.sum(np.min(table, axis=1), axis=1)
-        i = int(np.argmin(errors))
-        if errors[i] < best_error:
-            best_error = errors[i]
-            best_labels = labels[i]
+        j = int(np.argmin(errors))
+        with lock:
+            if (errors[j], i) < (best[0], best[1]):
+                best[:] = errors[j], i, labels[j]
+        return False
+
+    blocks = _canonical_labelings(data.count, n_subspaces, max(1, batch // workers))
+    if workers == 1:
+        for i, labels in enumerate(blocks):
+            score(i, labels)
+    else:
+        import threading
+
+        lock = threading.Lock()
+        _run_threaded(score, blocks, workers)
 
     bundle, partition, error = _svd_refit(
-        data, Partition(best_labels, n_subspaces), max_dim
+        data, Partition(best[2], n_subspaces), max_dim
     )
     return SolveReport(bundle, partition, error, certified_optimal=True)

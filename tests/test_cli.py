@@ -133,6 +133,8 @@ def test_reduce_solve_command(tmp_path):
     assert report["r"] == 3
     assert report["reduced_certified_optimal"] is True
     assert report["bound_satisfied"] is True
+    # 0.5 * sqrt(2 (d - 1)) >= 1 on noisy 6-dim data: a vacuous bound
+    assert report["bound_value"] >= 1.0 and report["bound_informative"] is False
     assert report["lifted_error"] >= report["e0"] - 1e-9
 
 

@@ -50,7 +50,9 @@ def test_zero_trial_config_yields_empty_rows_and_valid_summary():
     result = run_experiment(small_config(trials=0))
     assert result.rows == []
     assert result.exit_code == 0
-    assert result.summary["totals"] == {"trials": 0, "bound_checked": 0}
+    assert result.summary["totals"] == {
+        "trials": 0, "bound_checked": 0, "bound_informative": 0,
+    }
     assert result.summary["violations"]["bound"] == 0
     assert result.summary["violations"]["hard"] == 0
 
@@ -68,6 +70,32 @@ def test_small_run_produces_consistent_rows():
         assert row["bound_value"] is not None
         assert isinstance(row["bound_satisfied"], bool)
     assert result.summary["totals"]["bound_checked"] == 4
+
+
+ORACLE_CERTIFY_SHAPE = {"ambient_dim": 20, "n_subspaces": 2, "max_dim": 1,
+                        "n_points": 12, "noise_sigma": 0.05}
+
+
+@pytest.mark.parametrize("r, epsilon, informative", [(4, 0.5, False), (18, 0.01, True)])
+def test_summary_counts_informative_bounds(r, epsilon, informative):
+    """On unit-norm data no lift exceeds ||F||_F^2 = 1.  The benchmark's
+    certified trial (r = 4, eps = 0.5) has a bound of about 2.4, true by
+    arithmetic; eps = 0.01 at r = 18 gives one below 1."""
+    cfg = config_from_dict({
+        "dataset": {"synthetic": ORACLE_CERTIFY_SHAPE},
+        "reduction": {"distribution": "gaussian", "r": r, "epsilon": epsilon},
+        "trials": 3,
+        "master_seed": 5,
+    })
+    result = run_experiment(cfg)
+    assert result.exit_code == 0
+    totals = result.summary["totals"]
+    assert totals["bound_checked"] == 3
+    assert totals["bound_informative"] == (3 if informative else 0)
+    for row in result.rows:
+        assert (row["bound_value"] < 1.0) is informative
+        assert row["bound_satisfied"] is True
+    assert "bound_informative" not in result.rows[0]
 
 
 def test_rerun_is_byte_identical():

@@ -174,6 +174,7 @@ def test_reduce_solve_lift_exact_union_recovers_zero_error():
     assert report.reduced_error <= 1e-18
     assert report.lifted_error <= 1e-9
     assert report.bound_value is None and report.bound_satisfied is None
+    assert report.bound_informative is None
 
 
 def test_reduce_solve_lift_identity_embedding_is_lossless():

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -643,6 +643,7 @@ def assert_reports_equal(ours, theirs):
     assert ours.error_traces == theirs.error_traces
     assert ours.restarts_used == theirs.restarts_used
     assert ours.seed == theirs.seed
+    assert ours.certified_optimal == theirs.certified_optimal
 
 
 def solve_sequential_and_threaded(monkeypatch, data, *args, **kwargs):
@@ -825,6 +826,15 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
     assert solver._cores() == 1
 
 
+def assert_labelings_match_the_successor_loop(count, n_groups, batch):
+    ours = list(solver._canonical_labelings(count, n_groups, batch))
+    theirs = list(reference_canonical_labelings(count, n_groups, batch))
+    assert len(ours) == len(theirs), (count, n_groups)
+    for a, b in zip(ours, theirs):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), (count, n_groups)
+
+
 @pytest.mark.parametrize("batch", [1, 7, 136])
 def test_canonical_labelings_match_the_successor_loop(batch):
     """The same labelings in the same blocks, so the oracle scores them in
@@ -832,12 +842,170 @@ def test_canonical_labelings_match_the_successor_loop(batch):
     m = 10 and l = 4, m = 8 the digits take several chunks."""
     for count in range(1, 12):
         for n_groups in range(1, 5):
-            ours = list(solver._canonical_labelings(count, n_groups, batch))
-            theirs = list(reference_canonical_labelings(count, n_groups, batch))
-            assert len(ours) == len(theirs), (count, n_groups)
-            for a, b in zip(ours, theirs):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a, b), (count, n_groups)
+            assert_labelings_match_the_successor_loop(count, n_groups, batch)
+
+
+@pytest.mark.parametrize("floats, max_count", [(1, 7), (300, 9), (1000, 9)])
+def test_canonical_labelings_skip_no_live_chunk(monkeypatch, floats, max_count):
+    """Small digit chunks share long prefixes, so many are skipped as dead
+    (one number per chunk at ``floats = 1``); the blocks must not change."""
+    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
+    for count, n_groups, batch in itertools.product(
+        range(1, max_count + 1), (4, 5), (1, 13)
+    ):
+        assert_labelings_match_the_successor_loop(count, n_groups, batch)
+
+
+def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
+                               before_threads=lambda: None):
+    """brute_force_oracle on one thread at the default block size, then,
+    after ``before_threads()``, on two threads over blocks of ``per_block``
+    labelings (``per_block // 2`` per thread); returns both reports."""
+    pin_blas(monkeypatch, cores=1)
+    sequential = brute_force_oracle(data, n_groups, k)
+    before_threads()
+    pin_blas(monkeypatch, cores=2)
+    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS",
+                        per_block * n_groups * data.points.size)
+    workers, slices = [], []
+    run_threaded = solver._run_threaded
+    score = solver.best_subspace_residuals
+
+    def counted(run, tasks, n_workers):
+        workers.append(n_workers)
+        return run_threaded(run, tasks, n_workers)
+
+    def sized(points, members, k):
+        slices.append(len(members))
+        return score(points, members, k)
+
+    monkeypatch.setattr(solver, "_run_threaded", counted)
+    monkeypatch.setattr(solver, "best_subspace_residuals", sized)
+    threaded = brute_force_oracle(data, n_groups, k)
+    assert workers == [2]
+    assert max(slices) == n_groups * (per_block // 2)  # the floats in flight
+    return sequential, threaded
+
+
+@st.composite
+def threaded_oracle_instances(draw):
+    n_groups = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n_groups + 2, 7))
+    k = draw(st.sampled_from([0, 1]))
+    pts = draw(arrays(np.float64, (n, m), elements=st.floats(-4, 4)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)), max_size=2)):
+        pts[:, dst] = pts[:, src]
+    return DataSet(pts), n_groups, k, draw(st.integers(2, 9))
+
+
+@settings(max_examples=40)
+@given(threaded_oracle_instances())
+def test_threaded_oracle_equals_the_one_thread_run(instance):
+    data, n_groups, k, per_block = instance
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sequential, threaded = oracle_one_and_two_threads(
+            monkeypatch, data, n_groups, k, per_block
+        )
+    assert_reports_equal(threaded, sequential)
+
+
+def test_threaded_oracle_keeps_the_lowest_block_of_a_tie(monkeypatch):
+    """Points on one axis score exactly 0.0 under every labeling, and the
+    all-zeros labeling of block 0 leaves the second subspace empty.  The
+    thread that draws block 0 scores it only after the other thread has
+    recorded a later block, which ties it; block 0 must still win."""
+    data = DataSet(np.vstack([np.arange(1.0, 9.0), np.zeros((2, 8))]))
+    later_scored = threading.Event()
+    score = solver.best_subspace_residuals
+    later_calls = []
+
+    def ordered(points, members, k):
+        if members[0].all():  # block 0: its first labeling is all zeros
+            assert later_scored.wait(timeout=30)
+        else:
+            later_calls.append(None)
+            if len(later_calls) == 2:  # the first later block is recorded
+                later_scored.set()
+        return score(points, members, k)
+
+    sequential, threaded = oracle_one_and_two_threads(
+        monkeypatch, data, 2, 1,
+        before_threads=lambda: monkeypatch.setattr(
+            solver, "best_subspace_residuals", ordered),
+    )
+    assert later_scored.is_set()
+    assert threaded.error == 0.0
+    assert [v.dim for v in threaded.bundle] == [1, 0]
+    assert_reports_equal(threaded, sequential)
+    error, bundle, partition = reference_oracle(data, 2, 1)
+    assert (threaded.error, threaded.partition.groups) == (error, partition.groups)
+    assert [v.dim for v in bundle] == [1, 0]
+
+
+def test_exception_in_an_oracle_helper_reaches_the_caller(monkeypatch):
+    # The calling thread's first block waits until a helper has raised;
+    # the threads then stop drawing blocks, long before the 128th.
+    data = DataSet(np.random.default_rng(6).normal(size=(3, 9)))
+    pin_blas(monkeypatch)
+    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", 4 * 2 * data.points.size)
+    raised = threading.Event()
+    score = solver.best_subspace_residuals
+    calls = []
+
+    def failing(points, members, k):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise RuntimeError("block failed in a helper")
+        assert raised.wait(timeout=30)
+        return score(points, members, k)
+
+    monkeypatch.setattr(solver, "best_subspace_residuals", failing)
+    with pytest.raises(RuntimeError, match="block failed in a helper"):
+        brute_force_oracle(data, 2, 1)
+    assert raised.is_set()
+    assert len(calls) < 128
+
+
+@pytest.mark.parametrize("threads, floats", [("1", None), (None, 1)])
+def test_oracle_starts_no_thread_for_one_block_or_unpinned_blas(
+    monkeypatch, threads, floats
+):
+    """With BLAS pinned, an enumeration that fits in one block stays on the
+    calling thread; with BLAS unpinned, so does one of hundreds of blocks."""
+    data = DataSet(np.random.default_rng(8).normal(size=(3, 9)))
+    pin_blas(monkeypatch, threads=threads)
+    if floats is not None:
+        monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
+    reference = brute_force_oracle(data, 2, 1)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert_reports_equal(brute_force_oracle(data, 2, 1), reference)
+
+
+@pytest.mark.parametrize(
+    "count, n_groups, batch, workers",
+    [
+        # 41 canonical labelings of 5 points in <= 3 groups, 81 digit strings
+        (5, 3, 41, 1),
+        (5, 3, 40, 2),
+        (5, 3, 81, 1),
+        (5, 2, 16, 1),  # l = 2: every digit string is canonical
+        (5, 2, 15, 2),
+        (200, 1, 1, 1),  # one labeling
+        (12, 2, 1, 2),  # at most one thread per core
+    ],
+)
+def test_oracle_thread_count_rule(monkeypatch, count, n_groups, batch, workers):
+    pin_blas(monkeypatch)
+    assert solver._oracle_workers(count, n_groups, batch) == workers
+    pin_blas(monkeypatch, threads=None)
+    assert solver._oracle_workers(count, n_groups, batch) == 1
 
 
 def test_oracle_axis_instance():
