@@ -26,6 +26,7 @@ from .io import ground_truth_to_dict, load_dataset, save_dataset
 from .model import SEED_MASK, normalize_dataset
 from .pipeline import (
     SolverConfig,
+    break_even_epsilon,
     eta_admissibility_epsilon,
     min_reduced_dim,
     theorem_bound,
@@ -126,6 +127,8 @@ def cmd_bounds(args) -> int:
         payload["c0"] = c0(args.epsilon)
     if None not in (args.epsilon, args.e0, *shape):
         payload["theorem_bound"] = theorem_bound(args.e0, args.epsilon, *shape)
+    if None not in (args.e0, *shape):
+        payload["break_even_epsilon"] = break_even_epsilon(args.e0, *shape)
     if None not in (args.eta, *shape):
         payload["eta_epsilon"] = eta_admissibility_epsilon(args.eta, *shape)
         if None not in (args.delta, args.points):
@@ -134,9 +137,9 @@ def cmd_bounds(args) -> int:
             )
     if not payload:
         raise UnionFitError(
-            "nothing to compute; pass --epsilon (c0), --epsilon --e0 "
-            "--subspaces --rank --max-dim (theorem bound) or --eta --delta "
-            "--subspaces --rank --max-dim --points (minimal r)"
+            "nothing to compute; pass --epsilon (c0), --e0 --subspaces --rank "
+            "--max-dim (break-even epsilon; with --epsilon, theorem bound) or "
+            "--eta --delta --subspaces --rank --max-dim --points (minimal r)"
         )
     _emit(payload, args.out)
     return 0
@@ -254,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce_solve)
 
     p = sub.add_parser("bounds", parents=[out_opt],
-                       help="print c0, the error bound, and the minimal sketch "
-                            "dimension for given parameters")
+                       help="print c0, the error bound, its break-even epsilon "
+                            "and the minimal sketch dimension for given "
+                            "parameters")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--e0", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)

@@ -10,6 +10,7 @@ compared against the closed-form budget (1+eps) e0 + eps sqrt(l (d-k)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,22 @@ def theorem_bound(e0: float, epsilon: float, n_subspaces: int, d: int, k: int) -
     bound = (1.0 + epsilon) * e0 + epsilon * math.sqrt(n_subspaces * (d - k))
     require_finite("theorem_bound", bound, error=OutOfRange)
     return bound
+
+
+def break_even_epsilon(e0: float, n_subspaces: int, d: int, k: int) -> float | None:
+    """The epsilon at which theorem_bound reaches ||F||_F^2 = 1, the error of
+    any bundle on unit-Frobenius data: (1 - e0) / (e0 + sqrt(l (d-k))).  The
+    bound says something about the sketch only for epsilon below it.  None
+    when no epsilon > 0 does (e0 >= 1); the largest float when every one
+    does, as when d = k and e0 = 0."""
+    check_bound_shape(n_subspaces, d, k)
+    require_finite("e0", e0, minimum=0, error=OutOfRange)
+    if e0 >= 1.0:
+        return None
+    denominator = e0 + math.sqrt(n_subspaces * (d - k))
+    if denominator == 0.0:
+        return sys.float_info.max
+    return min((1.0 - e0) / denominator, sys.float_info.max)
 
 
 def eta_admissibility_epsilon(eta: float, n_subspaces: int, d: int, k: int) -> float:

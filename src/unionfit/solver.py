@@ -24,7 +24,9 @@ from .fitting import (
     best_subspace_residuals,
     bundle_from_partition,
     gram_basis,
+    gram_screen,
     partition_from_bundle,
+    screen_gram,
 )
 from .metrics import nearest, residuals
 from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace
@@ -35,8 +37,9 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 
 # The oracle scores labelings in batches of at most this many floats per
 # stacked array: a batch of c labelings stacks c * l slices, bases and
-# residual tables of N x m.  Batches amortize the per-call cost of the
-# stacked SVDs and matmuls; the cap keeps peak memory flat for tall data.
+# residual tables of N x m, and its screen c * l Gram matrices of at most
+# min(N, m)^2.  Batches amortize the per-call cost of the stacked SVDs,
+# eigensolves and matmuls; the cap keeps peak memory flat for tall data.
 # At N = 20, m = 12, l = 2 a batch holds 136 labelings.
 ORACLE_BATCH_FLOATS = 1 << 16
 
@@ -478,6 +481,17 @@ def brute_force_oracle(
     assignment's distances, which is ``bundle_error`` of the bundle bit
     for bit.
 
+    Each block is first screened on the Gram matrix: ``fitting.gram_screen``
+    gives every labeling an approximate error and a slack that bounds its
+    distance to the exact one.  The least ``approx + slack`` seen so far
+    is a running cut above the optimum, and only labelings with
+    ``approx - slack <= cut`` are scored exactly by
+    ``best_subspace_residuals``, the SVD path.  The cut only falls, so
+    every labeling whose exact error can reach the minimum, ties
+    included, is scored exactly, and the winner is the one the exact path
+    alone would pick.  Which labelings pass depends on the order the
+    blocks are screened in; the winner does not.
+
     Blocks of labelings are scored on ``cores // blas_threads`` threads by
     the rule of ``solve_best_model``, unless every canonical labeling fits
     in one block; each thread scores blocks of ``1 / workers`` the size, so
@@ -493,24 +507,36 @@ def brute_force_oracle(
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
     points = data.points
+    gram = screen_gram(points)
     groups = np.arange(n_subspaces)[:, None]
     batch = max(1, ORACLE_BATCH_FLOATS // (n_subspaces * points.size))
     workers = _oracle_workers(data.count, n_subspaces, batch)
     # The least (error, block index) scored so far and its labels: the
     # first strict minimum in lexicographic order, whichever thread scores
-    # which block.
+    # which block.  ``cut`` is the least screened upper bound so far.
     best = [np.inf, -1, None]
+    cut = [np.inf]
     lock = contextlib.nullcontext()
 
     def score(i: int, labels: np.ndarray) -> bool:
+        shape = len(labels), n_subspaces, data.count
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
+        rows, slack = gram_screen(points, gram, members, max_dim)
+        approx = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
+        slack = np.sum(slack.reshape(shape[:2]), axis=1)
+        with lock:
+            cut[0] = min(cut[0], np.min(approx + slack))
+            near = np.flatnonzero(approx - slack <= cut[0])
+        if near.size == 0:
+            return False
+        members = members.reshape(shape)[near].reshape(-1, data.count)
         table = best_subspace_residuals(points, members, max_dim)
-        table = table.reshape(len(labels), n_subspaces, data.count)
+        table = table.reshape(near.size, n_subspaces, data.count)
         errors = np.sum(np.min(table, axis=1), axis=1)
         j = int(np.argmin(errors))
         with lock:
             if (errors[j], i) < (best[0], best[1]):
-                best[:] = errors[j], i, labels[j]
+                best[:] = errors[j], i, labels[near[j]]
         return False
 
     blocks = _canonical_labelings(data.count, n_subspaces, max(1, batch // workers))

@@ -193,6 +193,36 @@ def test_bounds_command(tmp_path):
     assert payload["eta_epsilon"] == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
+def bounds_payload(capsys, *argv):
+    capsys.readouterr()
+    assert run_cli("bounds", *argv) == 0
+    return strict_json(capsys.readouterr().out)
+
+
+def test_bounds_prints_the_break_even_epsilon(capsys):
+    """Below eps* = (1 - e0) / (e0 + sqrt(l (d-k))) the bound is under
+    ||F||_F^2 = 1; at eps* it equals 1.  No --epsilon is needed."""
+    payload = bounds_payload(capsys, "--e0", "0.2", "-l", 2, "-d", 3, "-k", 1)
+    assert payload == {"break_even_epsilon": pytest.approx(0.8 / 2.2, rel=1e-15)}
+    eps = payload["break_even_epsilon"]
+    assert theorem_bound(0.2, eps, 2, 3, 1) == pytest.approx(1.0, rel=1e-12)
+    assert theorem_bound(0.2, 0.99 * eps, 2, 3, 1) < 1.0
+
+
+def test_bounds_break_even_is_null_when_no_epsilon_is_informative(capsys):
+    for e0 in ("1", "1.5"):
+        payload = bounds_payload(capsys, "--e0", e0, "-l", 2, "-d", 3, "-k", 1)
+        assert payload == {"break_even_epsilon": None}
+
+
+def test_bounds_break_even_is_the_largest_float_when_every_epsilon_is(capsys):
+    """With d = k the bound is (1 + eps) e0: 0 for e0 = 0, and a ratio past
+    the float range for a subnormal e0; JSON has no Infinity."""
+    for e0 in ("0", "5e-324"):
+        payload = bounds_payload(capsys, "--e0", e0, "-l", 2, "-d", 1, "-k", 1)
+        assert payload == {"break_even_epsilon": sys.float_info.max}
+
+
 def test_bounds_command_needs_parameters(capsys):
     assert run_cli("bounds") == 2
 

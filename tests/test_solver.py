@@ -860,31 +860,45 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
                                before_threads=lambda: None):
     """brute_force_oracle on one thread at the default block size, then,
     after ``before_threads()``, on two threads over blocks of ``per_block``
-    labelings (``per_block // 2`` per thread); returns both reports."""
+    labelings (``per_block // 2`` per thread); returns both reports.  The
+    enumeration must hold more than ``per_block`` canonical labelings."""
     pin_blas(monkeypatch, cores=1)
     sequential = brute_force_oracle(data, n_groups, k)
     before_threads()
     pin_blas(monkeypatch, cores=2)
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS",
                         per_block * n_groups * data.points.size)
-    workers, slices = [], []
+    workers, screened, scored = [], [], []
     run_threaded = solver._run_threaded
+    screen = solver.gram_screen
     score = solver.best_subspace_residuals
 
     def counted(run, tasks, n_workers):
         workers.append(n_workers)
         return run_threaded(run, tasks, n_workers)
 
-    def sized(points, members, k):
-        slices.append(len(members))
+    def screen_sized(points, gram, members, k):
+        screened.append(len(members))
+        return screen(points, gram, members, k)
+
+    def score_sized(points, members, k):
+        scored.append(len(members))
         return score(points, members, k)
 
     monkeypatch.setattr(solver, "_run_threaded", counted)
-    monkeypatch.setattr(solver, "best_subspace_residuals", sized)
+    monkeypatch.setattr(solver, "gram_screen", screen_sized)
+    monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
     threaded = brute_force_oracle(data, n_groups, k)
     assert workers == [2]
-    assert max(slices) == n_groups * (per_block // 2)  # the floats in flight
+    # The floats in flight: the screen sees every block, and the exact
+    # scores see no more than one.
+    assert max(screened) == n_groups * (per_block // 2)
+    assert max(scored) <= n_groups * (per_block // 2)
     return sequential, threaded
+
+
+def canonical_count(count, n_groups):
+    return sum(map(len, reference_canonical_labelings(count, n_groups, 64)))
 
 
 @st.composite
@@ -897,7 +911,10 @@ def threaded_oracle_instances(draw):
     for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
                                             st.integers(0, m - 1)), max_size=2)):
         pts[:, dst] = pts[:, src]
-    return DataSet(pts), n_groups, k, draw(st.integers(2, 9))
+    # Below the canonical count, so the enumeration takes more than one
+    # block and starts threads.
+    per_block = draw(st.integers(2, min(9, canonical_count(m, n_groups) - 1)))
+    return DataSet(pts), n_groups, k, per_block
 
 
 @settings(max_examples=40)
@@ -1081,6 +1098,70 @@ def test_oracle_property_exact_and_below_heuristic(instance):
     report = assert_oracle_matches_reference(data, n_groups, k)
     heuristic = solve_best_model(data, n_groups, k, restarts=3, seed=0)
     assert report.error <= heuristic.error + 1e-9
+
+
+def assert_screen_within_slack(data, n_groups, k):
+    """The oracle's window rests on this: over every canonical labeling,
+    each screened row lies within its slack of the exact row (summed over
+    the points), so each labeling's screened error lies within the sum of
+    its groups' slacks of its exact error.  Returns the slacks."""
+    points = data.points
+    labels = np.concatenate(
+        list(reference_canonical_labelings(data.count, n_groups, 64)))
+    members = (labels[:, None, :] == np.arange(n_groups)[:, None]).reshape(
+        -1, data.count)
+    rows, slack = fitting.gram_screen(
+        points, fitting.screen_gram(points), members, k)
+    exact = fitting.best_subspace_residuals(points, members, k)
+    assert np.all(np.sum(np.abs(rows - exact), axis=1) <= slack)
+    shape = len(labels), n_groups, data.count
+    screened = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
+    scores = np.sum(np.min(exact.reshape(shape), axis=1), axis=1)
+    assert np.all(np.abs(screened - scores)
+                  <= np.sum(slack.reshape(shape[:2]), axis=1))
+    return slack
+
+
+@given(small_oracle_instances())
+def test_screen_lies_within_its_slack(instance):
+    assert_screen_within_slack(*instance)
+
+
+@settings(max_examples=40)
+@given(threaded_oracle_instances())
+def test_screen_lies_within_its_slack_on_threaded_instances(instance):
+    data, n_groups, k, _ = instance
+    assert_screen_within_slack(data, n_groups, k)
+
+
+def test_screen_lies_within_its_slack_on_tall_and_tied_data():
+    """The tall cases of the naive-enumeration test, and points on one axis,
+    where every labeling scores exactly 0.0.  On tall random data every
+    fitted row is trusted, so the window is narrow there."""
+    rng = np.random.default_rng(111)
+    tall = rng.normal(size=(600, 7))
+    on_axis = np.zeros((600, 7))
+    on_axis[0] = np.arange(1.0, 8.0)
+    for pts, k in ((tall, 0), (tall, 1), (on_axis, 1)):
+        slack = assert_screen_within_slack(DataSet(pts), 2, k)
+        assert np.all(np.isfinite(slack))
+    tie = np.vstack([np.arange(1.0, 9.0), np.zeros((2, 8))])
+    assert_screen_within_slack(DataSet(tie), 2, 1)
+    # Groups far smaller in norm than the data: a screen that took the
+    # eigenvectors of the masked m x m Gram matrix instead of the group's
+    # own block leaks rounding onto the other points' Gram entries, and
+    # misses its slack here by a factor of hundreds.
+    mixed = rng.normal(size=(20, 8))
+    mixed[:, ::2] *= 1e-6
+    for n_groups, k in ((2, 1), (3, 2)):
+        assert_screen_within_slack(DataSet(mixed), n_groups, k)
+    # Gram entries that underflow, and squares past the float range, where
+    # the exact errors are inf and the screen must trust no row.
+    rotated = np.linalg.qr(rng.normal(size=(3, 3)))[0] @ tie
+    assert_screen_within_slack(DataSet(1e-160 * rotated), 2, 1)
+    with np.errstate(over="ignore"):
+        slack = assert_screen_within_slack(DataSet(1e160 * rotated), 2, 1)
+    assert np.all(np.isinf(slack))
 
 
 def test_oracle_budget():
