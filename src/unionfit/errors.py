@@ -129,6 +129,18 @@ def check_model_dims(n_subspaces, max_dim, count, ambient_dim, error=OutOfRange)
         raise error(f"need 0 <= max_dim < N, got {max_dim} for N={ambient_dim}")
 
 
+def check_data_scale(frobenius_norm, error=OutOfRange):
+    """Data whose squared Frobenius norm ||F||_F^2, the error of the empty
+    model that every solver's errors stay below, is a finite float."""
+    norm = float(frobenius_norm)
+    if not math.isfinite(norm * norm):  # norm ** 2 raises OverflowError
+        raise error(
+            "the squared Frobenius norm ||F||_F^2 of the points overflows a "
+            f"float (||F||_F = {norm!r}); divide them by a common "
+            "factor first, as --normalize needs a finite ||F||_F"
+        )
+
+
 def check_bound_shape(n_subspaces, d, k, count=None):
     """The closed-form bounds' domain: l >= 1, 0 <= k <= d and, when a
     point count is given, m >= 1, with l (d - k) and m in the float range;

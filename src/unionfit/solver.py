@@ -15,6 +15,7 @@ from .errors import (
     BudgetExceeded,
     InvalidInit,
     OutOfRange,
+    check_data_scale,
     check_model_dims,
     require_budget,
     require_instance,
@@ -35,12 +36,18 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
-# The oracle scores labelings in batches of at most this many floats per
-# stacked array: a batch of c labelings stacks c * l slices, bases and
-# residual tables of N x m, and its screen c * l Gram matrices of at most
-# min(N, m)^2.  Batches amortize the per-call cost of the stacked SVDs,
-# eigensolves and matmuls; the cap keeps peak memory flat for tall data.
-# At N = 20, m = 12, l = 2 a batch holds 136 labelings.
+# The oracle sizes its stacked arrays to about this many floats per
+# thread.  A labeling's Gram screen stacks l Gram matrices of at most
+# min(N, m)^2 floats and l rows of (k + 1) m floats (each point's
+# coordinates on the top k eigenvectors, and its screened residual), so a
+# screened block holds ORACLE_BATCH_FLOATS // (l (min(N, m)^2 + (k + 1) m))
+# labelings, a number that does not fall as N grows past m.  The labelings
+# that pass the screen are scored exactly in chunks of
+# ORACLE_BATCH_FLOATS // (l N m), since the exact path stacks l slices,
+# bases and residual tables of N x m per labeling.  Blocks amortize the
+# per-call cost of the stacked eigensolves, SVDs and matmuls; the cap keeps
+# peak memory flat for tall data.  At N = 20, m = 12, l = 2, k = 1 a block
+# holds 195 labelings and a chunk 136.
 ORACLE_BATCH_FLOATS = 1 << 16
 
 # solve_best_model refits a restart with the SVD only when its Gram-fit
@@ -162,6 +169,7 @@ def alternate_minimize(
     ``solve_best_model`` uses this to refit only restarts that can win.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
+    check_data_scale(data.frobenius_norm)
     require_int("max_iter", max_iter, minimum=1, error=OutOfRange)
     require_instance("init", init, (Partition,), InvalidInit)
     if init.count != data.count or init.n_groups != n_subspaces:
@@ -268,6 +276,7 @@ def solve_best_model(
     """
     require_int("restarts", restarts, minimum=1, error=OutOfRange)
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
+    check_data_scale(data.frobenius_norm)
     floor = REFIT_ABS * data.frobenius_norm**2
 
     def near(error: float, target: float) -> bool:
@@ -364,6 +373,19 @@ def _oracle_workers(count: int, n_groups: int, batch: int) -> int:
     for _ in range(count):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, n_groups + 1)]
     return _workers(-(-sum(row) // batch))
+
+
+def _oracle_block_sizes(
+    count: int, ambient_dim: int, n_groups: int, max_dim: int
+) -> tuple[int, int]:
+    """Labelings per screened block and per exactly scored chunk of
+    ``brute_force_oracle``, by the rule of ``ORACLE_BATCH_FLOATS``."""
+    screened = n_groups * (min(ambient_dim, count) ** 2 + (max_dim + 1) * count)
+    exact = n_groups * ambient_dim * count
+    return (
+        max(1, ORACLE_BATCH_FLOATS // screened),
+        max(1, ORACLE_BATCH_FLOATS // exact),
+    )
 
 
 def _run_threaded(run, tasks, workers: int) -> int:
@@ -486,22 +508,25 @@ def brute_force_oracle(
     distance to the exact one.  The least ``approx + slack`` seen so far
     is a running cut above the optimum, and only labelings with
     ``approx - slack <= cut`` are scored exactly by
-    ``best_subspace_residuals``, the SVD path.  The cut only falls, so
-    every labeling whose exact error can reach the minimum, ties
-    included, is scored exactly, and the winner is the one the exact path
-    alone would pick.  Which labelings pass depends on the order the
-    blocks are screened in; the winner does not.
+    ``best_subspace_residuals``, the SVD path, in chunks taken in order.
+    The cut only falls, so every labeling whose exact error can reach the
+    minimum, ties included, is scored exactly, and the winner is the one
+    the exact path alone would pick.  Which labelings pass depends on the
+    order the blocks are screened in; the winner does not.  Blocks and
+    chunks are sized by ``ORACLE_BATCH_FLOATS``: a block by what the
+    screen stacks, which does not grow with N once N >= m, a chunk by what
+    the SVD path stacks.
 
     Blocks of labelings are scored on ``cores // blas_threads`` threads by
     the rule of ``solve_best_model``, unless every canonical labeling fits
-    in one block; each thread scores blocks of ``1 / workers`` the size, so
-    the floats in flight stay within ``ORACLE_BATCH_FLOATS``.  A labeling's
-    score does not depend on its block, and the winner is the least
-    (error, block index), so every field of the report is bit-identical to
-    the one-thread run's.  An exception raised in a block propagates to the
-    caller.
+    in one block; each thread scores full-size blocks.  A labeling's score
+    does not depend on its block or chunk, and the winner is the least
+    (error, block index), each chunk's least error compared in order, so
+    every field of the report is bit-identical to the one-thread run's.
+    An exception raised in a block propagates to the caller.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
+    check_data_scale(data.frobenius_norm)
     require_budget("budget", budget, error=OutOfRange)
     if not within_budget(n_subspaces, data.count, budget):
         raise BudgetExceeded(n_subspaces**data.count, budget)
@@ -509,8 +534,10 @@ def brute_force_oracle(
     points = data.points
     gram = screen_gram(points)
     groups = np.arange(n_subspaces)[:, None]
-    batch = max(1, ORACLE_BATCH_FLOATS // (n_subspaces * points.size))
-    workers = _oracle_workers(data.count, n_subspaces, batch)
+    block, chunk = _oracle_block_sizes(
+        data.count, data.ambient_dim, n_subspaces, max_dim
+    )
+    workers = _oracle_workers(data.count, n_subspaces, block)
     # The least (error, block index) scored so far and its labels: the
     # first strict minimum in lexicographic order, whichever thread scores
     # which block.  ``cut`` is the least screened upper bound so far.
@@ -527,19 +554,21 @@ def brute_force_oracle(
         with lock:
             cut[0] = min(cut[0], np.min(approx + slack))
             near = np.flatnonzero(approx - slack <= cut[0])
-        if near.size == 0:
-            return False
-        members = members.reshape(shape)[near].reshape(-1, data.count)
-        table = best_subspace_residuals(points, members, max_dim)
-        table = table.reshape(near.size, n_subspaces, data.count)
-        errors = np.sum(np.min(table, axis=1), axis=1)
-        j = int(np.argmin(errors))
-        with lock:
-            if (errors[j], i) < (best[0], best[1]):
-                best[:] = errors[j], i, labels[near[j]]
+        members = members.reshape(shape)
+        for start in range(0, near.size, chunk):
+            window = near[start : start + chunk]
+            table = best_subspace_residuals(
+                points, members[window].reshape(-1, data.count), max_dim
+            )
+            table = table.reshape(window.size, n_subspaces, data.count)
+            errors = np.sum(np.min(table, axis=1), axis=1)
+            j = int(np.argmin(errors))
+            with lock:
+                if (errors[j], i) < (best[0], best[1]):
+                    best[:] = errors[j], i, labels[window[j]]
         return False
 
-    blocks = _canonical_labelings(data.count, n_subspaces, max(1, batch // workers))
+    blocks = _canonical_labelings(data.count, n_subspaces, block)
     if workers == 1:
         for i, labels in enumerate(blocks):
             score(i, labels)

@@ -347,6 +347,26 @@ def test_invalid_dataset_exits_2(tmp_path):
     assert run_cli("solve", "--data", bad, "--subspaces", 2, "--max-dim", 1) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_data_whose_squared_norm_overflows_exits_2(tmp_path, command):
+    """Every model error of 1e200 entries overflows: the solvers refuse the
+    data with one line that names --normalize, and no warning or
+    traceback (warnings are errors in the child process)."""
+    data = tmp_path / "huge.csv"
+    data.write_text("1e200,1e200\n" * 3)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "unionfit.cli", command,
+         "--data", str(data), "-l", "2", "-k", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the squared Frobenius norm")
+    assert "--normalize" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "unionfit.cli", "bounds", "--epsilon", "0.5"],

@@ -17,6 +17,7 @@ from unionfit import (
     theorem_bound,
 )
 from unionfit.errors import (
+    check_data_scale,
     check_model_dims,
     require_acts_on,
     require_budget,
@@ -100,3 +101,14 @@ def test_require_budget_fits_an_int64():
     with pytest.raises(InvalidSpec, match="oracle_budget must be at most 2"):
         SolverConfig(oracle_budget=2**63)
     assert SolverConfig(oracle_budget=2**63 - 1).oracle_budget == 2**63 - 1
+
+
+def test_check_data_scale_refuses_a_squared_norm_past_the_float_range():
+    for norm in (0.0, 1.0, 1.3e154):
+        check_data_scale(norm)
+    # 1.5e154 ** 2 raises OverflowError on a Python float.
+    for norm in (1.5e154, math.inf):
+        with pytest.raises(OutOfRange, match="--normalize"):
+            check_data_scale(norm)
+    with pytest.raises(InvalidSpec):
+        check_data_scale(math.inf, error=InvalidSpec)

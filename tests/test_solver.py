@@ -859,15 +859,21 @@ def test_canonical_labelings_skip_no_live_chunk(monkeypatch, floats, max_count):
 def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
                                before_threads=lambda: None):
     """brute_force_oracle on one thread at the default block size, then,
-    after ``before_threads()``, on two threads over blocks of ``per_block``
-    labelings (``per_block // 2`` per thread); returns both reports.  The
-    enumeration must hold more than ``per_block`` canonical labelings."""
+    after ``before_threads()``, on two threads over screened blocks of
+    ``per_block`` labelings each; returns both reports.  The block sizes
+    come from the oracle's own ``_oracle_block_sizes``, at the least
+    ``ORACLE_BATCH_FLOATS`` that gives ``per_block``.  The enumeration must
+    hold more than ``per_block`` canonical labelings."""
     pin_blas(monkeypatch, cores=1)
     sequential = brute_force_oracle(data, n_groups, k)
     before_threads()
     pin_blas(monkeypatch, cores=2)
-    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS",
-                        per_block * n_groups * data.points.size)
+    for floats in itertools.count(1):
+        monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
+        block, chunk = solver._oracle_block_sizes(
+            data.count, data.ambient_dim, n_groups, k)
+        if block == per_block:
+            break
     workers, screened, scored = [], [], []
     run_threaded = solver._run_threaded
     screen = solver.gram_screen
@@ -890,10 +896,12 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
     monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
     threaded = brute_force_oracle(data, n_groups, k)
     assert workers == [2]
-    # The floats in flight: the screen sees every block, and the exact
-    # scores see no more than one.
-    assert max(screened) == n_groups * (per_block // 2)
-    assert max(scored) <= n_groups * (per_block // 2)
+    # The floats in flight: each thread screens full-size blocks (all but
+    # the last), and the exact scores see no more than one chunk.
+    full = n_groups * per_block
+    assert max(screened) == full
+    assert sum(size != full for size in screened) <= 1
+    assert max(scored) <= n_groups * chunk
     return sequential, threaded
 
 
@@ -963,27 +971,32 @@ def test_threaded_oracle_keeps_the_lowest_block_of_a_tie(monkeypatch):
 
 def test_exception_in_an_oracle_helper_reaches_the_caller(monkeypatch):
     # The calling thread's first block waits until a helper has raised;
-    # the threads then stop drawing blocks, long before the 128th.
+    # the threads then stop drawing blocks, long before the last one.
+    # Every block is screened, while the exact path sees only the blocks
+    # whose labelings pass the screen, so the screen is where a helper
+    # fails.
     data = DataSet(np.random.default_rng(6).normal(size=(3, 9)))
     pin_blas(monkeypatch)
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", 4 * 2 * data.points.size)
+    block, _ = solver._oracle_block_sizes(data.count, data.ambient_dim, 2, 1)
+    blocks = -(-canonical_count(data.count, 2) // block)
     raised = threading.Event()
-    score = solver.best_subspace_residuals
+    screen = solver.gram_screen
     calls = []
 
-    def failing(points, members, k):
+    def failing(points, gram, members, k):
         calls.append(threading.current_thread())
         if threading.current_thread() is not threading.main_thread():
             raised.set()
             raise RuntimeError("block failed in a helper")
         assert raised.wait(timeout=30)
-        return score(points, members, k)
+        return screen(points, gram, members, k)
 
-    monkeypatch.setattr(solver, "best_subspace_residuals", failing)
+    monkeypatch.setattr(solver, "gram_screen", failing)
     with pytest.raises(RuntimeError, match="block failed in a helper"):
         brute_force_oracle(data, 2, 1)
     assert raised.is_set()
-    assert len(calls) < 128
+    assert len(calls) < blocks
 
 
 @pytest.mark.parametrize("threads, floats", [("1", None), (None, 1)])
@@ -1162,6 +1175,109 @@ def test_screen_lies_within_its_slack_on_tall_and_tied_data():
     with np.errstate(over="ignore"):
         slack = assert_screen_within_slack(DataSet(1e160 * rotated), 2, 1)
     assert np.all(np.isinf(slack))
+
+
+def screened_block_sizes(monkeypatch, data, n_groups, k):
+    """The sizes of the blocks brute_force_oracle hands the Gram screen,
+    in order, on one thread."""
+    pin_blas(monkeypatch, threads=None)
+    sizes = []
+    screen = solver.gram_screen
+
+    def recorded(points, gram, members, k):
+        sizes.append(len(members) // n_groups)
+        return screen(points, gram, members, k)
+
+    monkeypatch.setattr(solver, "gram_screen", recorded)
+    brute_force_oracle(data, n_groups, k)
+    monkeypatch.setattr(solver, "gram_screen", screen)
+    return sizes
+
+
+@pytest.mark.parametrize("n_groups, k", [(2, 1), (3, 2)])
+def test_oracle_blocks_do_not_shrink_as_the_data_grows_tall(
+    monkeypatch, n_groups, k
+):
+    """The screen stacks Gram matrices of at most m x m whatever N is, so
+    the oracle screens the same blocks at N = 20 and at N = 2000; only
+    the exact chunks shrink."""
+    rng = np.random.default_rng(14)
+    m = 12 if n_groups == 2 else 9
+    short = screened_block_sizes(
+        monkeypatch, DataSet(rng.normal(size=(20, m))), n_groups, k)
+    tall = screened_block_sizes(
+        monkeypatch, DataSet(rng.normal(size=(2000, m))), n_groups, k)
+    assert len(short) > 1
+    assert tall == short
+    assert sum(short) == canonical_count(m, n_groups)
+    assert solver._oracle_block_sizes(m, 2000, n_groups, k)[1] == 1
+
+
+@pytest.mark.parametrize("floats", [None, 19200])
+def test_oracle_scores_a_window_of_every_labeling_in_chunks(monkeypatch, floats):
+    """Points on one axis score exactly 0.0 under every labeling, so every
+    labeling passes the screen.  The exact path still sees at most one
+    chunk at a time, and the first labeling wins, as in the reference:
+    in one block at the default cap, and in two blocks on two threads,
+    with chunks of two labelings, at 19200 floats."""
+    on_axis = np.zeros((600, 8))
+    on_axis[0] = np.arange(1.0, 9.0)
+    data = DataSet(on_axis)
+    pin_blas(monkeypatch)
+    if floats is not None:
+        monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
+    block, chunk = solver._oracle_block_sizes(data.count, data.ambient_dim, 2, 1)
+    assert 1 < chunk < canonical_count(data.count, 2)
+    workers = solver._oracle_workers(data.count, 2, block)
+    assert workers == (1 if floats is None else 2)
+    scored = []
+    score = solver.best_subspace_residuals
+
+    def score_sized(points, members, k):
+        scored.append(len(members) // 2)
+        return score(points, members, k)
+
+    monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
+    report = assert_oracle_matches_reference(data, 2, 1)
+    assert report.error == 0.0
+    assert sum(scored) == canonical_count(data.count, 2)
+    assert max(scored) == chunk
+
+
+@st.composite
+def tall_oracle_instances(draw):
+    m = draw(st.integers(3, 7))
+    n = draw(st.integers(m, 60))
+    n_groups = draw(st.integers(1, min(3, m - 1)))
+    k = draw(st.integers(0, 2))
+    pts = draw(arrays(np.float64, (n, m), elements=st.floats(-4, 4)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)), max_size=2)):
+        pts[:, dst] = pts[:, src]
+    # From one-labeling blocks and chunks up to the default cap.
+    floats = draw(st.sampled_from([1, 64, 512, solver.ORACLE_BATCH_FLOATS]))
+    return DataSet(pts), n_groups, k, floats
+
+
+@settings(max_examples=60)
+@given(tall_oracle_instances())
+def test_tall_oracle_matches_the_reference(instance):
+    data, n_groups, k, floats = instance
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
+        assert_oracle_matches_reference(data, n_groups, k)
+
+
+def test_solvers_refuse_data_whose_squared_norm_overflows():
+    """Every model error of such data would overflow, and the oracle would
+    find no labeling below inf."""
+    data = DataSet(np.full((2, 3), 1e200))
+    init = Partition(np.array([0, 0, 1]), 2)
+    for call in (lambda: alternate_minimize(data, 2, 1, init),
+                 lambda: solve_best_model(data, 2, 1, restarts=2, seed=0),
+                 lambda: brute_force_oracle(data, 2, 1)):
+        with pytest.raises(OutOfRange, match="--normalize"):
+            call()
 
 
 def test_oracle_budget():
