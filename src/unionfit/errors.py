@@ -136,8 +136,8 @@ def check_data_scale(frobenius_norm, error=OutOfRange):
     if not math.isfinite(norm * norm):  # norm ** 2 raises OverflowError
         raise error(
             "the squared Frobenius norm ||F||_F^2 of the points overflows a "
-            f"float (||F||_F = {norm!r}); divide them by a common "
-            "factor first, as --normalize needs a finite ||F||_F"
+            f"float (||F||_F = {norm!r}); rescale them first, e.g. with "
+            "--normalize, which needs a finite ||F||_F"
         )
 
 

@@ -63,6 +63,20 @@ def matrix_rank(a: np.ndarray) -> int:
     return rank_from_singular_values(sigma, a.shape)
 
 
+def _frobenius_norm(points: np.ndarray) -> float:
+    """||F||_F, inf only when it exceeds the float range.  np.linalg.norm
+    sums squares, which overflow from entries of about 1e154 on; then the
+    norm is taken of the points divided by a power of two near the largest
+    entry, an exact scaling, and multiplied back."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(points))
+        if norm == np.inf:
+            exponent = np.frexp(np.max(np.abs(points)))[1]
+            scaled = np.linalg.norm(np.ldexp(points, -exponent))
+            norm = float(np.ldexp(scaled, exponent))
+    return norm
+
+
 @dataclass(frozen=True)
 class DataSet:
     """m column points in R^N, stored in C order whatever the input's layout
@@ -83,8 +97,7 @@ class DataSet:
             raise ValueError("data contains non-finite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        with np.errstate(over="ignore"):  # the norm of huge entries is inf
-            object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(pts)))
+        object.__setattr__(self, "frobenius_norm", _frobenius_norm(pts))
 
     @cached_property
     def numerical_rank(self) -> int:

@@ -5,6 +5,7 @@ instances."""
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -36,19 +37,28 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
-# The oracle sizes its stacked arrays to about this many floats per
+# The oracle sizes its stacked arrays to at most this many floats per
 # thread.  A labeling's Gram screen stacks l Gram matrices of at most
 # min(N, m)^2 floats and l rows of (k + 1) m floats (each point's
 # coordinates on the top k eigenvectors, and its screened residual), so a
-# screened block holds ORACLE_BATCH_FLOATS // (l (min(N, m)^2 + (k + 1) m))
-# labelings, a number that does not fall as N grows past m.  The labelings
+# screened block holds at most ORACLE_BATCH_FLOATS // (l (min(N, m)^2 +
+# (k + 1) m)) labelings, a number that does not fall as N grows past m.
+# The canonical labelings are cut into blocks of equal size (within one
+# labeling), as few as that cap allows, but at least one per thread once
+# they hold more than one thread's share of the cap (the cap over the
+# thread count); fewer stay one block and start no thread.  The labelings
 # that pass the screen are scored exactly in chunks of
 # ORACLE_BATCH_FLOATS // (l N m), since the exact path stacks l slices,
 # bases and residual tables of N x m per labeling.  Blocks amortize the
 # per-call cost of the stacked eigensolves, SVDs and matmuls; the cap keeps
-# peak memory flat for tall data.  At N = 20, m = 12, l = 2, k = 1 a block
-# holds 195 labelings and a chunk 136.
-ORACLE_BATCH_FLOATS = 1 << 16
+# peak memory flat for tall data: the tracemalloc peak of a one-thread
+# oracle stays within 2 * 8 * ORACLE_BATCH_FLOATS bytes, 4 MB, at N = 4, 20
+# and 1000 (tests/test_solver.py).
+# At N = 20, m = 12, l = 2, k = 1 the cap allows 780 labelings a block, so
+# the 2048 canonical labelings take 3 blocks of 682 or 683, and a chunk
+# holds 546; at N = 4 they take 2 blocks of 1024 on two threads.  A sweep
+# over 2^16 .. 2^19 (BENCH_15.json) picked 2^18.
+ORACLE_BATCH_FLOATS = 1 << 18
 
 # solve_best_model refits a restart with the SVD only when its Gram-fit
 # error is within REFIT_REL * best + REFIT_ABS * ||X||_F^2 of the best
@@ -364,15 +374,29 @@ def _restart_workers(n_floats: int, restarts: int) -> int:
     return _workers(restarts)
 
 
-def _oracle_workers(count: int, n_groups: int, batch: int) -> int:
-    """Threads ``brute_force_oracle`` scores its blocks of ``batch``
-    labelings on: one when every canonical labeling fits in one block."""
-    if n_groups ** (count - 1) <= batch:  # even every digit string fits
+def _canonical_count(count: int, n_groups: int) -> int:
+    """Canonical labelings of ``count`` points into at most ``n_groups``
+    groups: the sum over j <= l of the Stirling numbers S(m, j)."""
+    if n_groups == 1:  # any m is within the budget; the loop takes m steps
         return 1
-    row = [1] + [0] * n_groups  # Stirling numbers S(i, j), j = 0 .. l
+    row = [1] + [0] * n_groups  # S(i, j), j = 0 .. l
     for _ in range(count):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, n_groups + 1)]
-    return _workers(-(-sum(row) // batch))
+    return sum(row)
+
+
+def _oracle_plan(count: int, n_groups: int, per_block: int) -> tuple[int, int]:
+    """Blocks and threads ``brute_force_oracle`` cuts its canonical
+    labelings into, when the cap allows ``per_block`` labelings a block:
+    as few equal blocks as the cap allows, but at least one per thread
+    once the labelings hold more than one thread's share of the cap.
+    One block starts no thread."""
+    labelings = _canonical_count(count, n_groups)
+    threads = _workers(labelings)
+    blocks = -(-labelings // per_block)
+    if labelings * threads > per_block:
+        blocks = max(blocks, threads)
+    return blocks, min(blocks, threads)
 
 
 def _oracle_block_sizes(
@@ -434,8 +458,9 @@ def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
     return n_subspaces**count <= budget
 
 
-def _canonical_labelings(count: int, n_groups: int, batch: int):
-    """Restricted-growth strings in lexicographic order, ``batch`` at a time.
+def _canonical_labelings(count: int, n_groups: int, blocks: int):
+    """Restricted-growth strings in lexicographic order, in ``blocks``
+    blocks of equal size.
 
     A labeling is canonical when each label first appears after every
     smaller label (Knuth, TAOCP 4A, 7.2.1.5), that is when no label is
@@ -443,16 +468,26 @@ def _canonical_labelings(count: int, n_groups: int, batch: int):
     lexicographically first labeling of its class under permutations of
     the group labels, and each class has exactly one.  The canonical
     labelings are those among the base-l digits of 0 ... l^(m-1) - 1,
-    made as int64 in chunks of about ``ORACLE_BATCH_FLOATS`` digits; an
-    enumeration budget keeps l^m within int64.  The numbers of a chunk
-    share the leading digits of its first and last number, so a chunk
-    whose shared digits already fail the test is skipped unmade; from
-    l = 4 on, most chunks fail.  Yields int arrays of shape
-    (batch, count), the last one possibly shorter.
+    made as int64 in chunks of about ``ORACLE_BATCH_FLOATS / 4`` digits,
+    since a chunk's digits, their prefix maxima, the test's result and
+    the kept copy take about four times that; an enumeration budget keeps
+    l^m within int64.  The numbers of a chunk share the leading digits of
+    its first and last number, so a chunk whose shared digits already fail
+    the test is skipped unmade; from l = 4 on, most chunks fail.  Yields
+    ``min(blocks, S)`` int arrays of shape (size, count), S being the
+    number of canonical labelings, whose sizes differ by at most one, the
+    longer ones first.
     """
     total = n_groups ** (count - 1)
     powers = n_groups ** np.arange(count - 1, -1, -1)
-    step = max(1, ORACLE_BATCH_FLOATS // count)
+    step = max(1, ORACLE_BATCH_FLOATS // (4 * count))
+    labelings = _canonical_count(count, n_groups)
+    blocks = min(blocks, labelings)
+    size, longer = divmod(labelings, blocks)
+    sizes = itertools.chain(
+        itertools.repeat(size + 1, longer), itertools.repeat(size, blocks - longer)
+    )
+    want = next(sizes)
     kept = np.empty((0, count), dtype=int)
 
     def digits_of(numbers):  # a row per position
@@ -474,11 +509,9 @@ def _canonical_labelings(count: int, n_groups: int, batch: int):
         digits = digits_of(np.arange(start, stop))
         canonical = growth_ok(digits)
         kept = np.concatenate([kept, digits[:, canonical].T])
-        full = len(kept) - len(kept) % batch
-        yield from kept[:full].reshape(-1, batch, count)
-        kept = kept[full:]
-    if len(kept):
-        yield kept
+        while 0 < want <= len(kept):
+            yield kept[:want]
+            kept, want = kept[want:], next(sizes, 0)
 
 
 def brute_force_oracle(
@@ -513,13 +546,16 @@ def brute_force_oracle(
     minimum, ties included, is scored exactly, and the winner is the one
     the exact path alone would pick.  Which labelings pass depends on the
     order the blocks are screened in; the winner does not.  Blocks and
-    chunks are sized by ``ORACLE_BATCH_FLOATS``: a block by what the
-    screen stacks, which does not grow with N once N >= m, a chunk by what
-    the SVD path stacks.
+    chunks are sized by ``ORACLE_BATCH_FLOATS``, a chunk by what the SVD
+    path stacks and a block by what the screen stacks, which does not grow
+    with N once N >= m.  The canonical labelings are cut into blocks of
+    equal size, as few as the cap allows, but at least one per thread
+    once they hold more than one thread's share of the cap
+    (``_oracle_plan``).
 
     Blocks of labelings are scored on ``cores // blas_threads`` threads by
-    the rule of ``solve_best_model``, unless every canonical labeling fits
-    in one block; each thread scores full-size blocks.  A labeling's score
+    the rule of ``solve_best_model``, at most one per block, so an
+    enumeration of one block starts no thread.  A labeling's score
     does not depend on its block or chunk, and the winner is the least
     (error, block index), each chunk's least error compared in order, so
     every field of the report is bit-identical to the one-thread run's.
@@ -537,7 +573,7 @@ def brute_force_oracle(
     block, chunk = _oracle_block_sizes(
         data.count, data.ambient_dim, n_subspaces, max_dim
     )
-    workers = _oracle_workers(data.count, n_subspaces, block)
+    blocks, workers = _oracle_plan(data.count, n_subspaces, block)
     # The least (error, block index) scored so far and its labels: the
     # first strict minimum in lexicographic order, whichever thread scores
     # which block.  ``cut`` is the least screened upper bound so far.
@@ -568,15 +604,15 @@ def brute_force_oracle(
                     best[:] = errors[j], i, labels[window[j]]
         return False
 
-    blocks = _canonical_labelings(data.count, n_subspaces, block)
+    labelings = _canonical_labelings(data.count, n_subspaces, blocks)
     if workers == 1:
-        for i, labels in enumerate(blocks):
+        for i, labels in enumerate(labelings):
             score(i, labels)
     else:
         import threading
 
         lock = threading.Lock()
-        _run_threaded(score, blocks, workers)
+        _run_threaded(score, labelings, workers)
 
     bundle, partition, error = _svd_refit(
         data, Partition(best[2], n_subspaces), max_dim

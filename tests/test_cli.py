@@ -367,6 +367,23 @@ def test_data_whose_squared_norm_overflows_exits_2(tmp_path, command):
     assert proc.stderr.count("\n") == 1
 
 
+def test_oracle_normalizes_data_whose_squared_norm_overflows(tmp_path, capsys):
+    """Points scaled by 2^530 have a finite ||F||_F though ||F||_F^2
+    overflows; --normalize rescales them to the bits of the unscaled
+    points, so the oracle prints the same JSON."""
+    plain = generate_dataset(tmp_path, noise="0.05")
+    scaled = tmp_path / "scaled.csv"
+    save_dataset(DataSet(np.ldexp(load_dataset(plain).points, 530)), scaled)
+    outputs = []
+    for path in (plain, scaled):
+        capsys.readouterr()
+        assert run_cli("oracle", "--data", path, "-l", 2, "-k", 1,
+                       "--normalize") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["certified_optimal"] is True
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "unionfit.cli", "bounds", "--epsilon", "0.5"],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,10 +109,25 @@ def test_normalize_zero_data_raises():
 
 
 def test_normalize_rejects_a_norm_past_the_float_range():
-    data = DataSet(np.full((2, 3), 1e200))
+    data = DataSet(np.full((2, 3), 1e308))
     assert data.frobenius_norm == np.inf  # and no overflow warning
     with pytest.raises(OutOfRange):
         normalize_dataset(data)
+
+
+@pytest.mark.parametrize("exponent", [520, 530, 1000])
+def test_normalize_rescales_data_whose_squared_norm_overflows(exponent):
+    """||F||_F^2 overflows from about 1e154 on, ||F||_F only near 1e308:
+    such data has a finite norm, and normalizes to the same bits as the
+    same points scaled by any power of two."""
+    points = np.random.default_rng(4).normal(size=(3, 5))
+    points /= np.max(np.abs(points))
+    data = DataSet(np.ldexp(points, exponent))
+    assert data.frobenius_norm == np.ldexp(DataSet(points).frobenius_norm, exponent)
+    assert np.array_equal(normalize_dataset(data).points,
+                          normalize_dataset(DataSet(points)).points)
+    assert DataSet(np.full((2, 3), 1e160)).frobenius_norm == pytest.approx(
+        math.sqrt(6) * 1e160, rel=1e-15)
 
 
 def test_normalize_preserves_rank_and_angles():

@@ -2,6 +2,7 @@ import itertools
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -826,23 +827,25 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
     assert solver._cores() == 1
 
 
-def assert_labelings_match_the_successor_loop(count, n_groups, batch):
-    ours = list(solver._canonical_labelings(count, n_groups, batch))
-    theirs = list(reference_canonical_labelings(count, n_groups, batch))
+def assert_labelings_match_the_successor_loop(count, n_groups, blocks):
+    ours = list(solver._canonical_labelings(count, n_groups, blocks))
+    every = np.concatenate(list(reference_canonical_labelings(count, n_groups, 64)))
+    theirs = np.array_split(every, min(blocks, len(every)))
     assert len(ours) == len(theirs), (count, n_groups)
     for a, b in zip(ours, theirs):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b), (count, n_groups)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 136])
-def test_canonical_labelings_match_the_successor_loop(batch):
-    """The same labelings in the same blocks, so the oracle scores them in
-    the same order and batches as the loop it replaced.  From l = 3,
+@pytest.mark.parametrize("blocks", [1, 7, 136])
+def test_canonical_labelings_match_the_successor_loop(blocks):
+    """The labelings of the loop the enumeration replaced, in the same
+    order, cut into ``blocks`` blocks (or one per labeling, when fewer) of
+    equal size within one labeling, the longer ones first.  From l = 3,
     m = 10 and l = 4, m = 8 the digits take several chunks."""
     for count in range(1, 12):
         for n_groups in range(1, 5):
-            assert_labelings_match_the_successor_loop(count, n_groups, batch)
+            assert_labelings_match_the_successor_loop(count, n_groups, blocks)
 
 
 @pytest.mark.parametrize("floats, max_count", [(1, 7), (300, 9), (1000, 9)])
@@ -850,18 +853,18 @@ def test_canonical_labelings_skip_no_live_chunk(monkeypatch, floats, max_count):
     """Small digit chunks share long prefixes, so many are skipped as dead
     (one number per chunk at ``floats = 1``); the blocks must not change."""
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-    for count, n_groups, batch in itertools.product(
+    for count, n_groups, blocks in itertools.product(
         range(1, max_count + 1), (4, 5), (1, 13)
     ):
-        assert_labelings_match_the_successor_loop(count, n_groups, batch)
+        assert_labelings_match_the_successor_loop(count, n_groups, blocks)
 
 
 def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
                                before_threads=lambda: None):
     """brute_force_oracle on one thread at the default block size, then,
-    after ``before_threads()``, on two threads over screened blocks of
-    ``per_block`` labelings each; returns both reports.  The block sizes
-    come from the oracle's own ``_oracle_block_sizes``, at the least
+    after ``before_threads()``, on two threads at a cap of ``per_block``
+    labelings a screened block; returns both reports.  The cap comes from
+    the oracle's own ``_oracle_block_sizes``, at the least
     ``ORACLE_BATCH_FLOATS`` that gives ``per_block``.  The enumeration must
     hold more than ``per_block`` canonical labelings."""
     pin_blas(monkeypatch, cores=1)
@@ -896,11 +899,11 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
     monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
     threaded = brute_force_oracle(data, n_groups, k)
     assert workers == [2]
-    # The floats in flight: each thread screens full-size blocks (all but
-    # the last), and the exact scores see no more than one chunk.
-    full = n_groups * per_block
-    assert max(screened) == full
-    assert sum(size != full for size in screened) <= 1
+    # The floats in flight: as few blocks as the cap allows, of equal size
+    # within one labeling, and the exact scores see no more than one chunk.
+    assert len(screened) == -(-canonical_count(data.count, n_groups) // per_block)
+    assert max(screened) <= n_groups * per_block
+    assert max(screened) - min(screened) <= n_groups
     assert max(scored) <= n_groups * chunk
     return sequential, threaded
 
@@ -1003,39 +1006,70 @@ def test_exception_in_an_oracle_helper_reaches_the_caller(monkeypatch):
 def test_oracle_starts_no_thread_for_one_block_or_unpinned_blas(
     monkeypatch, threads, floats
 ):
-    """With BLAS pinned, an enumeration that fits in one block stays on the
-    calling thread; with BLAS unpinned, so does one of hundreds of blocks."""
-    data = DataSet(np.random.default_rng(8).normal(size=(3, 9)))
+    """With BLAS pinned, an enumeration within one thread's share of a
+    block stays on the calling thread, as do criterion 2's largest
+    instances (m = 8, N = 2 and 5); with BLAS unpinned, so does one of
+    hundreds of blocks."""
+    rng = np.random.default_rng(8)
+    datasets = [DataSet(rng.normal(size=shape)) for shape in ((3, 9), (2, 8), (5, 8))]
     pin_blas(monkeypatch, threads=threads)
     if floats is not None:
         monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-    reference = brute_force_oracle(data, 2, 1)
+    references = [brute_force_oracle(data, 2, 1) for data in datasets]
 
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert_reports_equal(brute_force_oracle(data, 2, 1), reference)
+    for data, reference in zip(datasets, references):
+        assert_reports_equal(brute_force_oracle(data, 2, 1), reference)
 
 
 @pytest.mark.parametrize(
     "count, n_groups, batch, workers",
     [
-        # 41 canonical labelings of 5 points in <= 3 groups, 81 digit strings
-        (5, 3, 41, 1),
+        # 41 canonical labelings of 5 points in <= 3 groups: on two threads
+        # they stay one block up to a cap of 82, twice their count
+        (5, 3, 82, 1),
+        (5, 3, 81, 2),
         (5, 3, 40, 2),
-        (5, 3, 81, 1),
-        (5, 2, 16, 1),  # l = 2: every digit string is canonical
+        (5, 2, 32, 1),  # l = 2: 16 canonical labelings
         (5, 2, 15, 2),
         (200, 1, 1, 1),  # one labeling
         (12, 2, 1, 2),  # at most one thread per core
     ],
 )
 def test_oracle_thread_count_rule(monkeypatch, count, n_groups, batch, workers):
+    """``batch`` is the cap on labelings a block; BLAS pinned on two cores,
+    then unpinned."""
     pin_blas(monkeypatch)
-    assert solver._oracle_workers(count, n_groups, batch) == workers
+    assert solver._oracle_plan(count, n_groups, batch)[1] == workers
     pin_blas(monkeypatch, threads=None)
-    assert solver._oracle_workers(count, n_groups, batch) == 1
+    assert solver._oracle_plan(count, n_groups, batch)[1] == 1
+
+
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 5000),
+       st.integers(1, 8))
+def test_oracle_block_plan(count, n_groups, per_block, cores):
+    """As few blocks as a cap of ``per_block`` labelings allows, but at
+    least one per thread once the labelings exceed one thread's share of
+    the cap; the blocks differ by at most one labeling, and one block
+    starts no thread."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pin_blas(monkeypatch, cores=cores)
+        blocks, workers = solver._oracle_plan(count, n_groups, per_block)
+        sizes = [len(block) for block in
+                 solver._canonical_labelings(count, n_groups, blocks)]
+    total = canonical_count(count, n_groups)
+    threads = min(cores, total)
+    assert sum(sizes) == total and len(sizes) == blocks
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= per_block
+    if total * threads > per_block:
+        assert blocks == max(-(-total // per_block), threads)
+        assert workers == threads
+    else:
+        assert (blocks, workers) == (1, 1)
 
 
 def test_oracle_axis_instance():
@@ -1210,7 +1244,26 @@ def test_oracle_blocks_do_not_shrink_as_the_data_grows_tall(
     assert len(short) > 1
     assert tall == short
     assert sum(short) == canonical_count(m, n_groups)
-    assert solver._oracle_block_sizes(m, 2000, n_groups, k)[1] == 1
+    assert (solver._oracle_block_sizes(m, 2000, n_groups, k)[1]
+            < solver._oracle_block_sizes(m, 20, n_groups, k)[1])
+
+
+@pytest.mark.parametrize("n, m", [(4, 12), (20, 12), (1000, 14)])
+def test_oracle_memory_stays_within_its_cap(monkeypatch, n, m):
+    """The tracemalloc peak of a one-thread oracle, its blocks screened and
+    scored one at a time, stays within the multiple of
+    ``8 * ORACLE_BATCH_FLOATS`` bytes that the cap's comment states: at
+    N = 4 every labeling fits in one block, at N = 20 they take three, and
+    at N = 1000 the exact chunks hold 9 labelings of 1000 x 14 slices."""
+    data = DataSet(np.random.default_rng(15).normal(size=(n, m)))
+    pin_blas(monkeypatch, threads=None)
+    tracemalloc.start()
+    try:
+        brute_force_oracle(data, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * solver.ORACLE_BATCH_FLOATS
 
 
 @pytest.mark.parametrize("floats", [None, 19200])
@@ -1228,7 +1281,7 @@ def test_oracle_scores_a_window_of_every_labeling_in_chunks(monkeypatch, floats)
         monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
     block, chunk = solver._oracle_block_sizes(data.count, data.ambient_dim, 2, 1)
     assert 1 < chunk < canonical_count(data.count, 2)
-    workers = solver._oracle_workers(data.count, 2, block)
+    workers = solver._oracle_plan(data.count, 2, block)[1]
     assert workers == (1 if floats is None else 2)
     scored = []
     score = solver.best_subspace_residuals
