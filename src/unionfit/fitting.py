@@ -15,8 +15,8 @@ from .model import RANK_TOL_FACTOR, Bundle, DataSet, Partition, Subspace, svd_ba
 # differ by at most this much.
 TIE_TOL = 1e-12
 
-# gram_basis trusts the k-th Gram eigenvalue only when it exceeds the
-# eigensolver's floor (n * eps * lambda_1) by this factor.
+# gram_screen trusts the t-th Gram eigenvalue of an n x n Gram matrix only
+# when it exceeds the eigensolver's floor (n * eps * lambda_1) by this factor.
 GRAM_CLEAR_FACTOR = 1e4
 
 # gram_screen's slack is this multiple of the rounding bound its docstring
@@ -52,7 +52,7 @@ def best_subspace(matrix, k: int) -> Subspace:
 
 
 def gram_floor(top, size, longest):
-    """The floor a Gram eigenvalue must exceed for ``gram_basis`` to trust
+    """The floor a Gram eigenvalue must exceed for ``gram_screen`` to trust
     it: the eigensolver's resolution ``size * eps * top`` for a
     ``size x size`` Gram matrix whose top eigenvalue is ``top``, times
     GRAM_CLEAR_FACTOR, or the squared rank cutoff of a slice whose longer
@@ -61,36 +61,6 @@ def gram_floor(top, size, longest):
         GRAM_CLEAR_FACTOR * size * np.finfo(float).eps,
         (longest * RANK_TOL_FACTOR) ** 2,
     )
-
-
-def gram_basis(points: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis (N x t) of ``best_subspace(points, k)``'s span,
-    fitted from the eigenvectors of the smaller Gram matrix.
-
-    A slice with at least N columns uses the top-k eigenvectors of
-    X X^T directly; a narrower one takes the top-k eigenvectors V of
-    X^T X and orthonormalizes X V with a QR.  The symmetric eigensolver
-    resolves eigenvalues only down to about n * eps * lambda_1 for an
-    n x n Gram matrix, too coarse for the singular-value rank rule.  So
-    unless the k-th eigenvalue exceeds both that floor times
-    GRAM_CLEAR_FACTOR and the squared rank cutoff, the slice is fitted by
-    the SVD in ``best_subspace``.  Either way t equals
-    ``best_subspace(points, k).dim``.
-    """
-    n_rows, n_cols = points.shape
-    if n_cols == 0 or k == 0:
-        return np.zeros((n_rows, 0))
-    wide = n_cols >= n_rows
-    gram = points @ points.T if wide else points.T @ points
-    eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
-    floor = gram_floor(eigvals[-1], eigvals.size, max(n_rows, n_cols))
-    if k > eigvals.size or not eigvals[-k] > floor:
-        return best_subspace(points, k).basis
-    vecs = eigvecs[:, : -k - 1 : -1]  # top k, descending
-    if wide:
-        return np.ascontiguousarray(vecs)
-    q, _ = np.linalg.qr(points @ vecs)
-    return q
 
 
 def best_subspace_residuals(
@@ -125,36 +95,28 @@ def best_subspace_residuals(
     return rows
 
 
-def screen_gram(points: np.ndarray) -> np.ndarray:
-    """The Gram data ``gram_screen`` reads, formed once per point set:
-    F^T F (m x m) when ``points`` F (N x m) has N >= m, else the m x N^2
-    stack of the outer products x_j x_j^T, whose masked sums are the
-    slices' N x N Gram matrices."""
-    n_rows, count = points.shape
-    with np.errstate(over="ignore"):  # gram_screen then trusts no row
-        if n_rows >= count:
-            return points.T @ points
-        return (points.T[:, :, None] * points.T[:, None, :]).reshape(count, -1)
-
-
 def gram_screen(
     points: np.ndarray, gram: np.ndarray, members: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``best_subspace_residuals`` approximated from Gram eigenpairs, with
-    a bound on each row's error.
+    a bound on each row's error: the one Gram-eigen kernel, which fits
+    alternating minimization's groups and screens the oracle's labelings.
 
     ``points`` (F, N x m) and ``members`` (B x m, boolean) are as in
-    ``best_subspace_residuals``, and ``gram`` is ``screen_gram(points)``.
+    ``best_subspace_residuals``.  ``gram`` is F^T F (m x m,
+    ``DataSet.gram``), the cheaper input when the slices are at most N
+    wide, or the B x N x N stack of the slices' own Gram matrices X X^T.
     Row b of ``rows`` holds each column's squared norm less its squared
     projection onto the top t = min(k, width) eigenvectors of slice b's
-    smaller Gram matrix: the w x w block of F^T F when N >= m (one stacked
-    ``eigh`` per width), else the N x N sum of x_j x_j^T over the slice (one
-    stacked ``eigh`` per call).  ``slack[b]`` bounds
-    sum_j |rows[b, j] - exact[b, j]|, where ``exact`` is the row
-    ``best_subspace_residuals`` returns.  A row with t = 0 is the squared
-    norms.  ``slack`` is infinite, and the row zero, wherever
-    ``gram_floor`` does not trust the t-th eigenvalue, the eigengap is not
-    positive, or a value is not finite.
+    Gram matrix, clamped at 0: its w x w block of F^T F (one stacked
+    ``eigh`` per width), or its N x N matrix of the stack (one stacked
+    ``eigh`` per call).  ``slack[b]`` bounds sum_j |rows[b, j] -
+    exact[b, j]|, where ``exact`` is the row ``best_subspace_residuals``
+    returns; the exact rows are never negative, so the clamp only moves a
+    row toward them.  A row with t = 0 is the squared norms.  ``slack``
+    is infinite, and the row zero, wherever ``gram_floor`` does not trust
+    the t-th eigenvalue, the eigengap is not positive, or a value is not
+    finite.
 
     The slack.  For a slice X with Gram eigenvalues l_1 >= l_2 >= ...,
     gap g = l_t - l_{t+1} (l_{t+1} = 0 past the last, negatives read as
@@ -168,7 +130,7 @@ def gram_screen(
         <~ eps l_1 / g of P; forming x - Q Q^T x adds <~ N d(||x_j||^2).
       - This screen: rounding the Gram matrix and ``eigh``'s backward
         error move it by <~ (N + m) d(||X||_F^2), so by Davis and Kahan its
-        eigenspace's projector is within that over g of P.  When N >= m
+        eigenspace's projector is within that over g of P.  From F^T F
         the basis X V L^(-1/2) is orthonormal only up to the same amount
         (its Gram matrix is I + L^(-1/2) V^T dG V L^(-1/2), and l_t >= g);
         and norms less projections cancel <~ (N + m) d(||x_j||^2).
@@ -189,7 +151,10 @@ def gram_screen(
     rows = np.zeros(members.shape)
     slack = np.full(len(members), np.inf)
     with np.errstate(all="ignore"):
-        norms = np.sum(points * points, axis=0)
+        if gram.ndim == 2:  # the diagonal of F^T F: no pass over N x m
+            norms = np.diagonal(gram)
+        else:
+            norms = np.sum(points * points, axis=0)
         fro2 = np.sum(norms)
         if not np.isfinite(fro2 * size):  # a Gram sum may overflow
             return rows, slack
@@ -199,11 +164,11 @@ def gram_screen(
             lam, coef = _top_eigenpairs(points, gram, members, widths, int(t.max()))
             coef[np.arange(coef.shape[1]) >= t[:, None]] = 0.0
             coef *= coef
-            screened = norms - np.sum(coef, axis=1)
+            screened = np.maximum(norms - np.sum(coef, axis=1), 0.0)
             pick = np.arange(len(members))
             lam_t = lam[pick, t - 1]
             gap = lam_t - np.maximum(lam[pick, t], 0.0)
-            order = widths if n_rows >= count else n_rows  # the Gram's size
+            order = widths if gram.ndim == 2 else n_rows  # the Gram's size
             floor = gram_floor(lam[:, 0], order, np.maximum(n_rows, widths))
             ok = (gap > 0) & (lam_t > floor) & np.all(np.isfinite(screened), axis=1)
             trace = members.astype(float) @ norms
@@ -217,16 +182,15 @@ def gram_screen(
 
 def _top_eigenpairs(points, gram, members, widths, top):
     """For each slice of ``gram_screen``: the top + 1 largest eigenvalues of
-    its smaller Gram matrix, descending and 0 past the last, and every
-    column's coordinates (top x m) in the basis of its top eigenvectors.
-    When N >= m that basis is X V L^(-1/2), from the w x w blocks of F^T F,
+    its Gram matrix, descending and 0 past the last, and every column's
+    coordinates (top x m) in the basis of its top eigenvectors.  From
+    F^T F that basis is X V L^(-1/2), from the w x w blocks of F^T F,
     whose top eigenvectors are scattered to the slice's columns so that one
     matmul serves every width."""
     n_rows, count = points.shape
     lam = np.zeros((len(members), top + 1))
-    if n_rows < count:
-        grams = (members.astype(float) @ gram).reshape(-1, n_rows, n_rows)
-        val, vec = np.linalg.eigh(grams)  # ascending
+    if gram.ndim == 3:  # the slices' X X^T
+        val, vec = np.linalg.eigh(gram)  # ascending
         lam[:] = val[:, : -top - 2 : -1]
         return lam, np.swapaxes(vec[:, :, : -top - 1 : -1], 1, 2) @ points
     vecs = np.zeros((len(members), count, top))

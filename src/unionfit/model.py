@@ -80,7 +80,8 @@ def _frobenius_norm(points: np.ndarray) -> float:
 @dataclass(frozen=True)
 class DataSet:
     """m column points in R^N, stored in C order whatever the input's layout
-    (so equal points give equal results), with cached norm and rank."""
+    (so equal points give equal results), with cached norm, rank and Gram
+    matrix."""
 
     points: np.ndarray
     frobenius_norm: float = field(init=False)
@@ -103,6 +104,14 @@ class DataSet:
     def numerical_rank(self) -> int:
         """Numerical rank of the points; the SVD runs on first access only."""
         return matrix_rank(self.points)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """F^T F (m x m), formed on first access only.  Alternating
+        minimization reads it when m <= l N, the oracle when N >= m."""
+        gram = self.points.T @ self.points
+        gram.setflags(write=False)
+        return gram
 
     @property
     def ambient_dim(self) -> int:

@@ -25,13 +25,11 @@ from .errors import (
 from .fitting import (
     best_subspace_residuals,
     bundle_from_partition,
-    gram_basis,
     gram_screen,
     partition_from_bundle,
-    screen_gram,
 )
-from .metrics import nearest, residuals
-from .model import SEED_MASK, Bundle, DataSet, Partition, Subspace
+from .metrics import nearest
+from .model import SEED_MASK, Bundle, DataSet, Partition
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
@@ -81,20 +79,20 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output; ``error`` equals the bundle error of ``bundle``
-    (up to rounding for ``alternate_minimize(refit=False)``).
+    """Solver output; ``error`` equals the bundle error of ``bundle``, which
+    is None only from ``alternate_minimize(refit=False)``.
 
     ``certified_optimal`` is True only for reports produced by the
     exhaustive oracle.  ``error_traces`` holds one trace per restart
     (none for the oracle), so ``restarts_used`` counts the traces and
     ``iterations`` their lengths; ``winner`` indexes the restart the
-    returned model came from.  A trace lists the error after each
-    iteration; its last entry is the SVD-refit error of the restart when
-    that restart was refitted, else its last Gram-fit error.  ``seed`` is
-    meaningful only for reports produced by :func:`solve_best_model`.
+    returned model came from.  A trace lists the Gram-fit error after each
+    iteration, but its last entry is the SVD-refit error of the restart
+    when that restart was refitted.  ``seed`` is meaningful only for
+    reports produced by :func:`solve_best_model`.
     """
 
-    bundle: Bundle
+    bundle: Bundle | None
     partition: Partition
     error: float
     certified_optimal: bool = False
@@ -165,18 +163,20 @@ def alternate_minimize(
     ``init`` or a reassignment leaves a group empty, the group is reseeded
     with the single worst-fit point before the next round.
 
-    Inside the loop a group is fitted from its Gram matrix
-    (``fitting.gram_basis``), and a group whose members did not change
-    keeps its basis and its row of the distance table.  The labels fitted
-    by the last iteration are then refitted once with the SVD
-    (``bundle_from_partition``) and assigned once
-    (``partition_from_bundle``), so the returned bundle, partition and
-    error, which replaces the last trace entry, are those of the SVD path.
+    Inside the loop the groups whose members changed get their rows of
+    the distance table, their Gram fits, from one ``fitting.gram_screen``
+    call: from ``data.gram`` when m <= l N, else from each group's X X^T.  A
+    row the screen does not trust is recomputed by the SVD path,
+    ``best_subspace_residuals``.  The labels fitted by the last iteration
+    are then refitted once with the SVD (``bundle_from_partition``) and
+    assigned once (``partition_from_bundle``), so the returned bundle,
+    partition and error, which replaces the last trace entry, are those of
+    the SVD path.
 
-    With ``refit=False`` that closing pass is skipped: the report holds the
-    last Gram fits as ``bundle``, the labels they were fitted from as
-    ``partition`` and the loop's last error as ``error``.
-    ``solve_best_model`` uses this to refit only restarts that can win.
+    With ``refit=False`` that closing pass is skipped: the report holds no
+    bundle, the labels the last iteration fitted and the loop's last
+    Gram-fit error.  ``solve_best_model`` uses this to refit only restarts
+    that can win.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
@@ -189,22 +189,18 @@ def alternate_minimize(
         )
 
     points = data.points
+    gram = _fit_gram(data, n_subspaces)
+    groups = np.arange(n_subspaces)[:, None]
     table = np.empty((n_subspaces, data.count))
-    fitted_members: list[np.ndarray | None] = [None] * n_subspaces
-    bases: list[np.ndarray | None] = [None] * n_subspaces
+    members = init.labels != groups  # unlike every group's first members
     labels = init.labels
     errors: list[float] = []
     for _ in range(max_iter):
-        fitted = labels
-        for g in range(n_subspaces):
-            members = labels == g
-            if fitted_members[g] is not None and np.array_equal(
-                members, fitted_members[g]
-            ):
-                continue
-            fitted_members[g] = members
-            bases[g] = gram_basis(points[:, members], max_dim)
-            table[g] = residuals(points, bases[g])
+        fitted, fitted_members = labels, members
+        members = labels == groups
+        changed = np.any(members != fitted_members, axis=1)
+        if changed.any():  # none when a reseed restores the last labels
+            table[changed] = _group_rows(points, gram, members[changed], max_dim)
         labels, dist2 = nearest(table)
         err = float(np.sum(dist2))
         errors.append(err)
@@ -219,11 +215,31 @@ def alternate_minimize(
         labels = _reseed_empty_groups(labels, dist2, n_subspaces)
 
     partition = Partition(fitted, n_subspaces)
+    bundle = None
     if refit:
         bundle, partition, errors[-1] = _svd_refit(data, partition, max_dim)
-    else:
-        bundle = Bundle(tuple(Subspace(q) for q in bases), cap_dim=max_dim)
     return SolveReport(bundle, partition, errors[-1], error_traces=(tuple(errors),))
+
+
+def _fit_gram(data: DataSet, n_subspaces: int) -> np.ndarray | None:
+    """``data.gram`` (F^T F) when the l groups average at most N points
+    (m <= l N), so that a group's block of it is mostly no larger than its
+    X X^T, else None."""
+    return data.gram if data.count <= n_subspaces * data.ambient_dim else None
+
+
+def _group_rows(points, gram, members, k):
+    """Rows of alternating minimization's distance table for the groups
+    ``members`` (B x m) selects: ``gram_screen``'s rows from ``gram``, or
+    from each group's X X^T when ``gram`` is None, and the SVD path's rows
+    where the screen's slack is infinite."""
+    if gram is None:
+        gram = np.stack([x @ x.T for x in (points[:, g] for g in members)])
+    rows, slack = gram_screen(points, gram, members, k)
+    untrusted = np.isinf(slack)
+    if untrusted.any():
+        rows[untrusted] = best_subspace_residuals(points, members[untrusted], k)
+    return rows
 
 
 def random_partition(
@@ -307,6 +323,7 @@ def solve_best_model(
         refits[r] = _svd_refit(data, run.partition, max_dim)
         return refits[r][2] <= stop_below
 
+    _fit_gram(data, n_subspaces)  # formed once, not raced for by threads
     workers = _restart_workers(data.points.size, restarts)
     if workers == 1:
         used = next((r + 1 for r in range(restarts) if run_restart(r)), restarts)
@@ -568,7 +585,12 @@ def brute_force_oracle(
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
     points = data.points
-    gram = screen_gram(points)
+    n_rows = data.ambient_dim
+    tall = n_rows >= data.count
+    # F^T F, or the outer products x_j x_j^T, whose masked sums are the
+    # slices' X X^T.
+    gram = data.gram if tall else (
+        points.T[:, :, None] * points.T[:, None, :]).reshape(data.count, -1)
     groups = np.arange(n_subspaces)[:, None]
     block, chunk = _oracle_block_sizes(
         data.count, data.ambient_dim, n_subspaces, max_dim
@@ -584,7 +606,9 @@ def brute_force_oracle(
     def score(i: int, labels: np.ndarray) -> bool:
         shape = len(labels), n_subspaces, data.count
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
-        rows, slack = gram_screen(points, gram, members, max_dim)
+        grams = gram if tall else (
+            members.astype(float) @ gram).reshape(-1, n_rows, n_rows)
+        rows, slack = gram_screen(points, grams, members, max_dim)
         approx = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
         slack = np.sum(slack.reshape(shape[:2]), axis=1)
         with lock:

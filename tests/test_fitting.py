@@ -17,7 +17,8 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
-from unionfit.fitting import best_subspace_residuals, gram_basis
+from unionfit import solver
+from unionfit.fitting import best_subspace_residuals
 from unionfit.metrics import residuals
 
 
@@ -66,7 +67,12 @@ def test_best_subspace_residuals_match_unbatched_fits():
             assert np.array_equal(row, expected)
 
 
-def test_gram_basis_matches_svd_fit():
+@pytest.mark.parametrize("tall", [False, True], ids=["short", "tall"])
+def test_am_rows_match_svd_fit(tall):
+    """Alternating minimization's rows, from the Gram kernel and its SVD
+    fallback, agree with the SVD path's rows to rounding, on short data
+    (each slice's own X X^T) and, rotated into 24 dimensions, on tall data
+    (blocks of F^T F)."""
     rng = np.random.default_rng(37)
     n = 5
     probe = rng.normal(size=(n, 9))  # points the residuals are measured on
@@ -81,16 +87,18 @@ def test_gram_basis_matches_svd_fit():
         "wide": rng.normal(size=(n, 12)),
         "wide, rank 2": rng.normal(size=(n, 2)) @ rng.normal(size=(2, 12)),
     }
+    lift = np.linalg.qr(rng.normal(size=(24, n)))[0]
     for name, x in slices.items():
         points = np.hstack([x, probe])
+        if tall:
+            points = lift @ points
+        members = (np.arange(points.shape[1]) < x.shape[1])[None, :]
+        gram = DataSet(points).gram if tall else None
         scale = np.sum(points * points, axis=0)
         for k in range(4):
-            q = gram_basis(x, k)
-            svd = best_subspace(x, k)
-            assert q.shape == (n, svd.dim), (name, k)
-            assert np.allclose(q.T @ q, np.eye(svd.dim), atol=1e-12)
-            ours = residuals(points, q)
-            theirs = residuals(points, svd.basis)
+            ours = solver._group_rows(points, gram, members, k)
+            theirs = best_subspace_residuals(points, members, k)
+            assert np.all(ours >= 0), (name, k)
             assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import sys
@@ -176,8 +177,9 @@ def assert_am_matches_reference(data, n_groups, k, init, **kwargs):
 def exactness_inputs():
     """(name, data, l, k, init, kwargs, expected exit) for the loop comparison.
 
-    Together they take every fitting path of the Gram loop (groups at
-    least as wide as N, narrower groups, the SVD fallback for k >= rank
+    Together they take every path of the Gram kernel (blocks of F^T F on
+    tall data and wherever m <= l N, each group's own X X^T elsewhere, and
+    on both the SVD fallback for rows it does not trust, as for k >= rank
     and rank-1 groups), start from empty groups, reseed a group emptied
     mid-run, and leave through each exit.
     """
@@ -186,13 +188,20 @@ def exactness_inputs():
                           noise_sigma=0.01, seed=5)
     clean = SyntheticSpec(ambient_dim=10, n_subspaces=2, max_dim=2, n_points=30,
                           seed=6)
+    clean_tall = SyntheticSpec(ambient_dim=40, n_subspaces=2, max_dim=2,
+                               n_points=30, seed=8)
     wide, _ = generate_synthetic(noisy)
     exact, truth = generate_synthetic(clean)
+    exact_tall, _ = generate_synthetic(clean_tall)
     narrow = DataSet(rng.normal(size=(30, 24)))
     generic = DataSet(rng.normal(size=(8, 24)))
     line = rng.normal(size=(6, 20))
     line[:, :6] = np.outer(rng.normal(size=6), np.arange(1.0, 7.0))  # rank 1
     line = DataSet(line)
+    tall_rng = np.random.default_rng(192)
+    tall_line = tall_rng.normal(size=(24, 20))
+    tall_line[:, :6] = np.outer(tall_rng.normal(size=24), np.arange(1.0, 7.0))
+    tall_line = DataSet(tall_line)
     small = DataSet(rng.normal(size=(4, 8)))
     three = DataSet(rng.normal(size=(5, 12)))
     emptied = DataSet(np.random.default_rng(3).normal(size=(5, 10)))
@@ -215,6 +224,10 @@ def exactness_inputs():
          {}, "fixpoint"),
         ("rank-1-group", line, 2, 2,
          Partition(np.repeat([0, 1], [6, 14]), 2), {}, "fixpoint"),
+        ("tall-noiseless", exact_tall, 2, 2, random_partition(30, 2, 3), {},
+         "fixpoint"),
+        ("tall-rank-1-group", tall_line, 2, 2,
+         Partition(np.repeat([0, 1], [6, 14]), 2), {}, "fixpoint"),
         ("one-empty-group", small, 2, 1,
          Partition(np.zeros(8, dtype=int), 2), {}, "fixpoint"),
         ("two-empty-groups", three, 3, 1,
@@ -233,46 +246,46 @@ def test_alternate_minimize_matches_reference_loop(case):
 
 
 def test_exactness_inputs_take_every_path(monkeypatch):
-    """The comparison above is only as good as its inputs: every fitting
-    path, the reuse of unchanged groups and the reseed must occur."""
-    seen = dict.fromkeys(("wide", "narrow", "fallback", "reseed"), 0)
-    gram_basis, best_subspace = solver.gram_basis, fitting.best_subspace
+    """The comparison above is only as good as its inputs: every path of
+    the Gram kernel, the reuse of unchanged groups and the reseed must
+    occur."""
+    seen = dict.fromkeys(("F^T F on tall data", "F^T F on short data",
+                          "X X^T", "F^T F fallback", "X X^T fallback",
+                          "reseed"), 0)
+    screen, fallback = solver.gram_screen, solver.best_subspace_residuals
     reseed = solver._reseed_empty_groups
-    in_gram = False
-    fits = 0
+    rows = 0
+    read = ""  # the Gram data of the last screen call
 
-    def traced_best(points, k):
-        seen["fallback"] += in_gram
-        return best_subspace(points, k)
+    def traced_screen(points, gram, members, k):
+        nonlocal rows, read
+        rows += len(members)
+        read = "F^T F" if gram.ndim == 2 else "X X^T"
+        if gram.ndim == 2:
+            tall = points.shape[0] >= points.shape[1]
+            seen["F^T F on tall data" if tall else "F^T F on short data"] += 1
+        else:
+            seen["X X^T"] += 1
+        return screen(points, gram, members, k)
 
-    def traced_gram(points, k):
-        nonlocal in_gram, fits
-        fits += 1
-        before = seen["fallback"]
-        in_gram = True
-        try:
-            q = gram_basis(points, k)
-        finally:
-            in_gram = False
-        n_rows, n_cols = points.shape
-        if n_cols and k and seen["fallback"] == before:
-            seen["wide" if n_cols >= n_rows else "narrow"] += 1
-        return q
+    def traced_fallback(points, members, k):
+        seen[read + " fallback"] += 1
+        return fallback(points, members, k)
 
     def traced_reseed(labels, dist2, n_groups):
         out = reseed(labels, dist2, n_groups)
         seen["reseed"] += out is not labels
         return out
 
-    monkeypatch.setattr(fitting, "best_subspace", traced_best)
-    monkeypatch.setattr(solver, "gram_basis", traced_gram)
+    monkeypatch.setattr(solver, "gram_screen", traced_screen)
+    monkeypatch.setattr(solver, "best_subspace_residuals", traced_fallback)
     monkeypatch.setattr(solver, "_reseed_empty_groups", traced_reseed)
     group_rounds = 0
     for _, data, n_groups, k, init, kwargs, _ in exactness_inputs():
         report = alternate_minimize(data, n_groups, k, init, **kwargs)
         group_rounds += report.iterations[0] * n_groups
     assert all(seen.values()), seen
-    assert fits < group_rounds  # unchanged groups were not refitted
+    assert rows < group_rounds  # unchanged groups were not refitted
 
 
 def test_solve_best_model_matches_reference_loop():
@@ -683,6 +696,59 @@ def test_threaded_restarts_equal_the_sequential_loop(monkeypatch, data, n_groups
         monkeypatch, data, n_groups, k, restarts=6, seed=11
     )
     assert_reports_equal(threaded, sequential)
+
+
+def count_gram_forms(monkeypatch):
+    """Record the shape of the points each time a DataSet forms its F^T F."""
+    forms = []
+    form = DataSet.gram.func
+
+    def counted(data):
+        forms.append(data.points.shape)
+        return form(data)
+
+    gram = functools.cached_property(counted)
+    gram.__set_name__(DataSet, "gram")
+    monkeypatch.setattr(DataSet, "gram", gram)
+    return forms
+
+
+def test_gram_is_formed_once_per_solve_and_only_where_groups_fit_in_n(
+    monkeypatch,
+):
+    """F^T F is m x m, 32 MB at m = 2000.  Alternating minimization forms it
+    only when its l groups average at most N points (m <= l N), so not at
+    the full-space benchmark's shape (m = 1000 > 4 * 200), and the oracle
+    only when N >= m, so not at N = 4.  A solve forms it once, before the
+    restarts' threads start."""
+    forms = count_gram_forms(monkeypatch)
+    spec = SyntheticSpec(ambient_dim=200, n_subspaces=4, max_dim=3,
+                         n_points=1000, noise_sigma=0.01, seed=3)
+    solve_best_model(generate_synthetic(spec)[0], 4, 3, restarts=2, seed=1,
+                     max_iter=2)
+    brute_force_oracle(DataSet(np.random.default_rng(4).normal(size=(4, 12))), 2, 1)
+    assert forms == []
+    solve_best_model(DataSet(np.random.default_rng(6).normal(size=(30, 40))), 2,
+                     1, restarts=3, seed=1)
+    assert forms == [(30, 40)]
+    forms.clear()
+    pin_blas(monkeypatch)
+    threaded = []
+    run_threaded = solver._run_threaded
+
+    def counted(run, tasks, workers):
+        threaded.append(workers)
+        return run_threaded(run, tasks, workers)
+
+    monkeypatch.setattr(solver, "_run_threaded", counted)
+    tall = DataSet(np.random.default_rng(5).normal(size=(600, 240)))
+    assert tall.points.size >= solver.PARALLEL_MIN_FLOATS
+    report = solve_best_model(tall, 3, 2, restarts=4, seed=2, max_iter=3)
+    assert threaded == [2]
+    assert forms == [(600, 240)]
+    assert report.error == alternate_minimize(
+        DataSet(tall.points), 3, 2, random_partition(240, 3, 2, report.winner),
+        max_iter=3).error
 
 
 @pytest.mark.parametrize("stop_at", [1, 2])
@@ -1147,25 +1213,44 @@ def test_oracle_property_exact_and_below_heuristic(instance):
     assert report.error <= heuristic.error + 1e-9
 
 
+def screen_grams(points, members):
+    """The Gram data gram_screen reads, in each form the solvers build it:
+    F^T F, and when N < m also the slices' own X X^T, both as the oracle's
+    masked sums of outer products and as alternating minimization's
+    products of each slice with itself."""
+    n_rows, count = points.shape
+    with np.errstate(all="ignore"):  # past the float range no row is trusted
+        gram = DataSet(points).gram
+        if n_rows >= count:
+            return [gram]
+        outer = (points.T[:, :, None] * points.T[:, None, :]).reshape(count, -1)
+        masked = (members.astype(float) @ outer).reshape(-1, n_rows, n_rows)
+        own = np.stack([x @ x.T for x in (points[:, g] for g in members)])
+    return [gram, masked, own]
+
+
 def assert_screen_within_slack(data, n_groups, k):
     """The oracle's window rests on this: over every canonical labeling,
     each screened row lies within its slack of the exact row (summed over
     the points), so each labeling's screened error lies within the sum of
-    its groups' slacks of its exact error.  Returns the slacks."""
+    its groups' slacks of its exact error.  Alternating minimization's
+    rows rest on it too: it takes the screened row wherever the slack is
+    finite.  Returns the slacks of the last form of the Gram data."""
     points = data.points
     labels = np.concatenate(
         list(reference_canonical_labelings(data.count, n_groups, 64)))
     members = (labels[:, None, :] == np.arange(n_groups)[:, None]).reshape(
         -1, data.count)
-    rows, slack = fitting.gram_screen(
-        points, fitting.screen_gram(points), members, k)
     exact = fitting.best_subspace_residuals(points, members, k)
-    assert np.all(np.sum(np.abs(rows - exact), axis=1) <= slack)
-    shape = len(labels), n_groups, data.count
-    screened = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
-    scores = np.sum(np.min(exact.reshape(shape), axis=1), axis=1)
-    assert np.all(np.abs(screened - scores)
-                  <= np.sum(slack.reshape(shape[:2]), axis=1))
+    for gram in screen_grams(points, members):
+        rows, slack = fitting.gram_screen(points, gram, members, k)
+        assert np.all(rows >= 0)
+        assert np.all(np.sum(np.abs(rows - exact), axis=1) <= slack)
+        shape = len(labels), n_groups, data.count
+        screened = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
+        scores = np.sum(np.min(exact.reshape(shape), axis=1), axis=1)
+        assert np.all(np.abs(screened - scores)
+                      <= np.sum(slack.reshape(shape[:2]), axis=1))
     return slack
 
 
