@@ -49,7 +49,9 @@ BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the reduced-space solve, validated on construction."""
+    """Knobs for every solve, validated on construction: the reduced-space
+    solve, and the full-space ones of CLI ``solve``, the trial's
+    identity-sketch fallback and its ``e0`` oracle."""
 
     restarts: int = 50
     tol: float = DEFAULT_TOL

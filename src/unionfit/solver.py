@@ -4,10 +4,10 @@ instances."""
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ from .errors import (
     check_data_scale,
     check_model_dims,
     require_budget,
+    require_finite,
     require_instance,
     require_int,
 )
@@ -58,14 +59,6 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # over 2^16 .. 2^19 (BENCH_15.json) picked 2^18.
 ORACLE_BATCH_FLOATS = 1 << 18
 
-# solve_best_model refits a restart with the SVD only when its Gram-fit
-# error is within REFIT_REL * best + REFIT_ABS * ||X||_F^2 of the best
-# restart's.  The returned model equals that of refitting every restart
-# whenever a labeling's Gram-fit and SVD-fit errors agree within half of
-# this slack.
-REFIT_REL = 1e-9
-REFIT_ABS = 1e-12
-
 # solve_best_model runs restarts on threads only for data of at least this
 # many points-matrix entries (N * m).  A short restart is mostly Python that
 # holds the interpreter lock: in a sweep on a 2-core host (BENCH_8.json) a
@@ -89,7 +82,9 @@ class SolveReport:
     returned model came from.  A trace lists the Gram-fit error after each
     iteration, but its last entry is the SVD-refit error of the restart
     when that restart was refitted.  ``seed`` is meaningful only for
-    reports produced by :func:`solve_best_model`.
+    reports produced by :func:`solve_best_model`.  ``slack`` bounds the
+    distance of a Gram-fit ``error`` from the SVD-refit error of the same
+    labels; it is 0 on every report that carries a bundle.
     """
 
     bundle: Bundle | None
@@ -99,6 +94,7 @@ class SolveReport:
     seed: int = 0
     error_traces: tuple[tuple[float, ...], ...] = ()
     winner: int = 0
+    slack: float = 0.0
 
     @property
     def restarts_used(self) -> int:
@@ -175,12 +171,16 @@ def alternate_minimize(
 
     With ``refit=False`` that closing pass is skipped: the report holds no
     bundle, the labels the last iteration fitted and the loop's last
-    Gram-fit error.  ``solve_best_model`` uses this to refit only restarts
-    that can win.
+    Gram-fit error, with the screen's slacks over the rows that error was
+    read from summed as ``slack`` (a row from the SVD path adds 0): a
+    point's least entry moves by at most its column's summed row errors,
+    so ``slack`` bounds |error - SVD-refit error|.  ``solve_best_model``
+    uses this to refit only restarts that can win.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
     require_int("max_iter", max_iter, minimum=1, error=OutOfRange)
+    require_finite("tol", tol, minimum=0, error=OutOfRange)
     require_instance("init", init, (Partition,), InvalidInit)
     if init.count != data.count or init.n_groups != n_subspaces:
         raise InvalidInit(
@@ -192,6 +192,7 @@ def alternate_minimize(
     gram = _fit_gram(data, n_subspaces)
     groups = np.arange(n_subspaces)[:, None]
     table = np.empty((n_subspaces, data.count))
+    slack = np.zeros(n_subspaces)  # the screen's slack on each row of table
     members = init.labels != groups  # unlike every group's first members
     labels = init.labels
     errors: list[float] = []
@@ -200,7 +201,9 @@ def alternate_minimize(
         members = labels == groups
         changed = np.any(members != fitted_members, axis=1)
         if changed.any():  # none when a reseed restores the last labels
-            table[changed] = _group_rows(points, gram, members[changed], max_dim)
+            table[changed], slack[changed] = _group_rows(
+                points, gram, members[changed], max_dim
+            )
         labels, dist2 = nearest(table)
         err = float(np.sum(dist2))
         errors.append(err)
@@ -216,9 +219,11 @@ def alternate_minimize(
 
     partition = Partition(fitted, n_subspaces)
     bundle = None
-    if refit:
+    if refit:  # the SVD path's own error, with no slack
         bundle, partition, errors[-1] = _svd_refit(data, partition, max_dim)
-    return SolveReport(bundle, partition, errors[-1], error_traces=(tuple(errors),))
+        slack[:] = 0.0
+    return SolveReport(bundle, partition, errors[-1],
+                       error_traces=(tuple(errors),), slack=float(np.sum(slack)))
 
 
 def _fit_gram(data: DataSet, n_subspaces: int) -> np.ndarray | None:
@@ -230,22 +235,24 @@ def _fit_gram(data: DataSet, n_subspaces: int) -> np.ndarray | None:
 
 def _group_rows(points, gram, members, k):
     """Rows of alternating minimization's distance table for the groups
-    ``members`` (B x m) selects: ``gram_screen``'s rows from ``gram``, or
-    from each group's X X^T when ``gram`` is None, and the SVD path's rows
-    where the screen's slack is infinite."""
+    ``members`` (B x m) selects, and their slacks: ``gram_screen``'s from
+    ``gram``, or from each group's X X^T when ``gram`` is None, and the
+    SVD path's, with slack 0, where the screen's slack is infinite."""
     if gram is None:
         gram = np.stack([x @ x.T for x in (points[:, g] for g in members)])
     rows, slack = gram_screen(points, gram, members, k)
     untrusted = np.isinf(slack)
     if untrusted.any():
         rows[untrusted] = best_subspace_residuals(points, members[untrusted], k)
-    return rows
+        slack[untrusted] = 0.0
+    return rows, slack
 
 
 def random_partition(
     count: int, n_groups: int, seed: int, restart: int = 0
 ) -> Partition:
     """Uniformly random labeling of points, keyed by (seed, restart)."""
+    require_int("seed", seed, error=OutOfRange)
     rng = np.random.default_rng([seed & SEED_MASK, restart])
     return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
@@ -277,36 +284,34 @@ def solve_best_model(
     model at or below that error is found (the result is still
     deterministic); by default all restarts run.
 
-    Restarts run with ``refit=False``.  Only restarts that can win are
-    refitted with the SVD: those whose Gram-fit error lies within
-    ``REFIT_REL * best + REFIT_ABS * ||X||_F^2`` of the best one, except a
-    relabeling of an earlier such restart, whose fits and errors would be
-    bit-identical.  Under ``stop_below`` a restart within that slack of
-    the threshold is refitted too, to decide the stop.  The result is the
-    first strict minimum of the refitted errors: the model that refitting
-    every restart would pick whenever each labeling's Gram-fit and
-    SVD-fit errors agree within half the slack.
+    Restarts run with ``refit=False``, and only restarts that can win are
+    refitted with the SVD, by the oracle's rule: a restart's SVD-refit
+    error lies within its ``slack`` of its Gram-fit ``error``, so every
+    restart with ``error - slack <= min(error + slack)`` is refitted,
+    except a relabeling of an earlier such restart, whose fits and errors
+    would be bit-identical.  Under ``stop_below`` a restart with ``error -
+    slack <= stop_below`` is refitted too, to decide the stop.  The result
+    is the first strict minimum of the refitted errors, which is the
+    model that refitting every restart would pick.
 
-    Restarts run on ``cores // blas_threads`` threads, at most one per
-    restart, when the data has at least ``PARALLEL_MIN_FLOATS`` entries
-    (``N * m``) and otherwise on the calling thread alone.  ``cores`` is
-    the number of CPUs the process may run on; ``blas_threads`` is the
-    first positive integer among ``BLAS_THREAD_VARS``, or ``cores`` when
-    none is set, so threads start only when BLAS is pinned.  The
-    calling thread takes a share, and each thread pulls the next restart
-    index from a shared counter.  Under ``stop_below`` no index past the
-    first restart that stops the solve is handed out, and restarts past it
-    that were already running are dropped, so every field of the report
-    is bit-identical to the one-thread loop's.  An exception raised in a
+    Restarts run by ``_run_threaded`` on ``cores // blas_threads``
+    threads, at most one per restart, when the data has at least
+    ``PARALLEL_MIN_FLOATS`` entries (``N * m``), else on the calling thread
+    alone.  ``cores`` is the number of CPUs the process may run on;
+    ``blas_threads`` is the first positive integer among
+    ``BLAS_THREAD_VARS``, or ``cores`` when none is set, so threads start
+    only when BLAS is pinned.  Restarts past the first one that stops the
+    solve under ``stop_below`` are dropped, so every field of the report
+    is bit-identical to the one-thread run's.  An exception raised in a
     restart propagates to the caller.
     """
     require_int("restarts", restarts, minimum=1, error=OutOfRange)
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
-    floor = REFIT_ABS * data.frobenius_norm**2
-
-    def near(error: float, target: float) -> bool:
-        return error <= target + REFIT_REL * abs(target) + floor
+    require_int("seed", seed, error=OutOfRange)
+    require_finite("tol", tol, minimum=0, error=OutOfRange)
+    if stop_below is not None:
+        require_finite("stop_below", stop_below, error=OutOfRange)
 
     runs: list[SolveReport | None] = [None] * restarts
     refits: dict[int, tuple[Bundle, Partition, float]] = {}
@@ -318,26 +323,23 @@ def solve_best_model(
             data, n_subspaces, max_dim, init, tol=tol, max_iter=max_iter,
             refit=False,
         )
-        if stop_below is None or not near(run.error, stop_below):
+        if stop_below is None or run.error - run.slack > stop_below:
             return False
         refits[r] = _svd_refit(data, run.partition, max_dim)
         return refits[r][2] <= stop_below
 
     _fit_gram(data, n_subspaces)  # formed once, not raced for by threads
     workers = _restart_workers(data.points.size, restarts)
-    if workers == 1:
-        used = next((r + 1 for r in range(restarts) if run_restart(r)), restarts)
-    else:
-        used = _run_threaded(lambda r, _: run_restart(r), range(restarts), workers)
+    used = _run_threaded(lambda r, _: run_restart(r), range(restarts), workers)
     # Threads may have run restarts past the one that stopped the solve;
     # drop them, and their refits, as the sequential loop never ran them.
     runs = runs[:used]
     refits = {r: refit for r, refit in refits.items() if r < used}
 
-    best = min(run.error for run in runs)
+    cut = min(run.error + run.slack for run in runs)
     seen: set[bytes] = set()
     for r, run in enumerate(runs):
-        if not near(run.error, best):
+        if run.error - run.slack > cut:
             continue
         key = _relabeling_key(run.partition.labels)
         if key not in seen and r not in refits:
@@ -431,15 +433,13 @@ def _oracle_block_sizes(
 
 def _run_threaded(run, tasks, workers: int) -> int:
     """Call ``run(i, task)`` for each ``(i, task)`` of ``enumerate(tasks)``
-    on ``workers`` threads, the calling thread among them, until the tasks
-    run out or a call returns True.  Each thread draws the next task under
-    a lock, so ``tasks`` may be a generator.  Returns the count of tasks
-    the sequential loop runs: one past the lowest index whose call returned
+    on ``workers`` threads, the calling thread among them (alone, starting
+    no thread, when ``workers == 1``), until the tasks run out or a call
+    returns True.  Each thread draws the next task under a lock, so
+    ``tasks`` may be a generator.  Returns the count of tasks the
+    sequential loop runs: one past the lowest index whose call returned
     True, else the number of tasks.  An exception raised in any call
     propagates to the caller once every thread has finished its task."""
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
     lock = threading.Lock()
     source = enumerate(tasks)
     handed = 0
@@ -461,6 +461,11 @@ def _run_threaded(run, tasks, workers: int) -> int:
             with lock:
                 stop = 0  # the other threads finish their task and quit
             raise
+
+    if workers == 1:  # no pool, nor concurrent.futures' import of logging
+        work()
+        return min(stop, handed)
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
@@ -570,13 +575,12 @@ def brute_force_oracle(
     once they hold more than one thread's share of the cap
     (``_oracle_plan``).
 
-    Blocks of labelings are scored on ``cores // blas_threads`` threads by
-    the rule of ``solve_best_model``, at most one per block, so an
-    enumeration of one block starts no thread.  A labeling's score
-    does not depend on its block or chunk, and the winner is the least
-    (error, block index), each chunk's least error compared in order, so
-    every field of the report is bit-identical to the one-thread run's.
-    An exception raised in a block propagates to the caller.
+    Blocks are scored by ``_run_threaded`` on ``cores // blas_threads``
+    threads, at most one per block, so one block starts no thread.  A
+    labeling's score does not depend on its block or chunk, and the winner
+    is the least (error, block index), each chunk's least error compared
+    in order, so every field of the report is bit-identical to the
+    one-thread run's.  An exception in a block propagates to the caller.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
@@ -601,7 +605,7 @@ def brute_force_oracle(
     # which block.  ``cut`` is the least screened upper bound so far.
     best = [np.inf, -1, None]
     cut = [np.inf]
-    lock = contextlib.nullcontext()
+    lock = threading.Lock()
 
     def score(i: int, labels: np.ndarray) -> bool:
         shape = len(labels), n_subspaces, data.count
@@ -628,15 +632,8 @@ def brute_force_oracle(
                     best[:] = errors[j], i, labels[window[j]]
         return False
 
-    labelings = _canonical_labelings(data.count, n_subspaces, blocks)
-    if workers == 1:
-        for i, labels in enumerate(labelings):
-            score(i, labels)
-    else:
-        import threading
-
-        lock = threading.Lock()
-        _run_threaded(score, labelings, workers)
+    _run_threaded(score, _canonical_labelings(data.count, n_subspaces, blocks),
+                  workers)
 
     bundle, partition, error = _svd_refit(
         data, Partition(best[2], n_subspaces), max_dim

@@ -96,10 +96,12 @@ def test_am_rows_match_svd_fit(tall):
         gram = DataSet(points).gram if tall else None
         scale = np.sum(points * points, axis=0)
         for k in range(4):
-            ours = solver._group_rows(points, gram, members, k)
+            ours, slack = solver._group_rows(points, gram, members, k)
             theirs = best_subspace_residuals(points, members, k)
             assert np.all(ours >= 0), (name, k)
             assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
+            assert np.all(np.isfinite(slack)), (name, k)
+            assert np.all(np.sum(np.abs(ours - theirs), axis=1) <= slack), (name, k)
 
 
 def test_best_subspace_svd_oracle():

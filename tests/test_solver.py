@@ -1,6 +1,8 @@
 import functools
 import itertools
+import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -331,20 +333,28 @@ def count_refits(monkeypatch):
     return calls
 
 
+def refitted_loop(data, n_groups, k, init):
+    """This solver's own loop, refitted, in the form of the reference loop.
+    Where errors sit at rounding level the reference loop's SVD fits and
+    this loop's Gram fits can pick different labels and part ways."""
+    report = alternate_minimize(data, n_groups, k, init)
+    return report.bundle, report.partition, report.error_traces[0], None
+
+
 def assert_solve_matches_refit_of_every_restart(
-    data, n_groups, k, restarts, seed, stop_below=None
+    data, n_groups, k, restarts, seed, stop_below=None,
+    loop=reference_alternate_minimize,
 ):
-    """Compare solve_best_model with the reference loop refitted after
-    every restart, which keeps the first strict minimum of the refitted
-    errors and stops once it is at or below ``stop_below``."""
+    """Compare solve_best_model with ``loop``, by default the reference
+    loop, refitted after every restart, which keeps the first strict
+    minimum of the refitted errors and stops once it is at or below
+    ``stop_below``."""
     report = solve_best_model(data, n_groups, k, restarts=restarts, seed=seed,
                               stop_below=stop_below)
     best = None
     for r in range(restarts):
         init = random_partition(data.count, n_groups, seed, r)
-        bundle, partition, errors, _ = reference_alternate_minimize(
-            data, n_groups, k, init
-        )
+        bundle, partition, errors, _ = loop(data, n_groups, k, init)
         if best is None or errors[-1] < best[0]:
             best = (errors[-1], bundle, partition, r)
         if stop_below is not None and best[0] <= stop_below:
@@ -430,6 +440,68 @@ def test_solve_best_model_rounding_level_ties_match_refit_of_every_restart(
         data, 3, 1, 12, 2, stop_below=threshold
     )
     assert report.restarts_used == 1
+
+
+@st.composite
+def slack_instances(draw):
+    """Gaussian data of a drawn rank, l, k and an init, laid out for each
+    path of the Gram kernel: blocks of F^T F on tall data (N >= m) and on
+    short data with m <= l N, or the X X^T stack (m > l N).  Rank-deficient
+    groups and k >= rank take the SVD fallback, k = 0 reads the squared
+    norms, and an init that leaves groups empty forces reseeds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.integers(1, 3))
+    layout = draw(st.sampled_from(["tall", "short F^T F", "X X^T"]))
+    n = draw(st.integers(2, 8))
+    low, high = {"tall": (2, n),
+                 "short F^T F": (n + 1, n_groups * n),
+                 "X X^T": (n_groups * n + 1, n_groups * n + 4)}[layout]
+    low = max(low, n_groups + 1)  # l < m
+    m = draw(st.integers(low, max(low, high)))
+    k = draw(st.integers(0, n - 1))
+    # Full rank, or below k: then a group of more than rank points has no
+    # k-th Gram eigenvalue above the noise, and takes the SVD fallback.
+    rank = draw(st.one_of(st.just(n), st.integers(1, max(1, k - 1))))
+    pts = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m))
+    empty = draw(st.integers(0, n_groups - 1))  # groups the init leaves empty
+    init = Partition(rng.integers(0, n_groups - empty, size=m), n_groups)
+    return DataSet(pts), n_groups, k, init
+
+
+@settings(max_examples=200)
+@given(slack_instances(), st.integers(0, 2**16), st.data())
+def test_gram_fit_error_lies_within_its_slack(instance, seed, drawn):
+    """``slack`` bounds |Gram-fit error - SVD-refit error|, so refitting by
+    the slack rule picks the model that refitting every restart picks, with
+    or without ``stop_below`` at one restart's SVD-refit error."""
+    data, n_groups, k, init = instance
+    gram = alternate_minimize(data, n_groups, k, init, refit=False)
+    svd = alternate_minimize(data, n_groups, k, init)
+    assert gram.bundle is None and svd.slack == 0.0
+    assert abs(gram.error - svd.error) <= gram.slack
+    # The same loop: the refit=False labels refit to the refit=True model.
+    assert gram.error_traces[0][:-1] == svd.error_traces[0][:-1]
+    _, partition, error = solver._svd_refit(data, gram.partition, k)
+    assert (partition, error) == (svd.partition, svd.error)
+    # Generic data (full rank, and more than l k points, so every labeling
+    # leaves a group that no k-dimensional subspace fits) follows the
+    # reference loop; elsewhere the solve is held to its own loop.
+    generic = bool(np.linalg.matrix_rank(data.points) == data.ambient_dim
+                   and data.count > n_groups * k)
+    loops = [refitted_loop] + [reference_alternate_minimize] * generic
+    stop_at = drawn.draw(st.integers(0, 3))
+    threshold = alternate_minimize(
+        data, n_groups, k, random_partition(data.count, n_groups, seed, stop_at)
+    ).error
+    for loop in loops:
+        report = assert_solve_matches_refit_of_every_restart(
+            data, n_groups, k, 4, seed, loop=loop)
+        assert report.slack == 0.0
+        report = assert_solve_matches_refit_of_every_restart(
+            data, n_groups, k, 4, seed, stop_below=threshold, loop=loop)
+        assert report.restarts_used <= stop_at + 1
+    if n_groups**data.count <= 4096:
+        assert brute_force_oracle(data, n_groups, k).slack == 0.0
 
 
 @st.composite
@@ -565,6 +637,36 @@ def test_alternate_minimize_validates_inputs():
         alternate_minimize(data, 4, 1, good)  # needs l < m
     with pytest.raises(OutOfRange):
         alternate_minimize(data, 2, 4, good)  # needs k < N
+
+
+# Each public solver entry point and the values it takes that SolverConfig
+# also validates, with the values both refuse.
+ENTRY_POINTS = {
+    "solve_best_model": (lambda data, **bad: solve_best_model(
+        data, 2, 1, restarts=3, **{"seed": 1, **bad}), ("seed", "tol", "stop_below")),
+    "alternate_minimize": (lambda data, **bad: alternate_minimize(
+        data, 2, 1, random_partition(12, 2, 1), **bad), ("tol",)),
+    "random_partition": (lambda data, **bad: random_partition(12, 2, **bad),
+                         ("seed",)),
+}
+BAD_VALUES = {
+    "seed": [1.5, np.float64(1.0), None, True, "1"],
+    "tol": [None, math.nan, math.inf, -1e-3, True, "1e-10"],
+    "stop_below": ["a", math.nan, math.inf, -math.inf, True],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [(entry, name, value) for entry, (_, names) in ENTRY_POINTS.items()
+     for name in names for value in BAD_VALUES[name]],
+)
+def test_solver_entry_points_refuse_bad_values(entry, name, value):
+    """The rules ``SolverConfig`` applies hold at the entry points too, as
+    OutOfRange before any restart runs."""
+    data = DataSet(np.random.default_rng(0).normal(size=(5, 12)))
+    with pytest.raises(OutOfRange, match=f"{name} must be"):
+        ENTRY_POINTS[entry][0](data, **{name: value})
 
 
 def test_alternate_minimize_repairs_empty_groups():
@@ -820,17 +922,71 @@ def test_exception_in_a_helper_thread_reaches_the_caller(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_unpinned_blas_starts_no_thread(monkeypatch):
-    data = DataSet(np.random.default_rng(5).normal(size=(4, 12)))
-    pin_blas(monkeypatch, threads=None)
-    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
-
+def refuse_thread_starts(monkeypatch):
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+def test_unpinned_blas_starts_no_thread(monkeypatch):
+    data = DataSet(np.random.default_rng(5).normal(size=(4, 12)))
+    pin_blas(monkeypatch, threads=None)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
+    refuse_thread_starts(monkeypatch)
     report = solve_best_model(data, 2, 1, restarts=6, seed=1)
     assert report.restarts_used == 6
+
+
+@pytest.mark.parametrize("stop_at, used", [(None, 5), (0, 1), (2, 3), (4, 5)])
+def test_one_worker_runs_the_sequential_loop_on_the_calling_thread(
+    monkeypatch, stop_at, used
+):
+    """One worker draws the tasks, a generator like the oracle's blocks, in
+    order on the calling thread, starts no thread, and returns the count
+    the sequential loop runs: one past the task whose call returns True."""
+    refuse_thread_starts(monkeypatch)
+    caller = threading.current_thread()
+    calls = []
+
+    def run(i, task):
+        calls.append((i, task, threading.current_thread()))
+        return i == stop_at
+
+    assert solver._run_threaded(run, (t * t for t in range(5)), 1) == used
+    assert calls == [(i, i * i, caller) for i in range(used)]
+
+
+def test_one_worker_raises_in_the_caller_and_runs_no_further_task(monkeypatch):
+    refuse_thread_starts(monkeypatch)
+    calls = []
+
+    def run(i, task):
+        calls.append(i)
+        if i == 1:
+            raise RuntimeError("task 1 failed")
+        return False
+
+    with pytest.raises(RuntimeError, match="task 1 failed"):
+        solver._run_threaded(run, range(5), 1)
+    assert calls == [0, 1]
+
+
+def test_one_thread_solvers_import_no_thread_pool():
+    """concurrent.futures, and the logging it imports, load only when a
+    pool starts: a solve and an oracle on one thread never import them."""
+    code = (
+        "import sys, numpy as np\n"
+        "from unionfit import DataSet, brute_force_oracle, solve_best_model\n"
+        "data = DataSet(np.random.default_rng(0).normal(size=(5, 12)))\n"
+        "solve_best_model(data, 2, 1, restarts=3, seed=1)\n"
+        "brute_force_oracle(data, 2, 1)\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    env = {name: value for name, value in os.environ.items()
+           if name not in solver.BLAS_THREAD_VARS}  # unpinned: one thread
+    subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                   check=True)
 
 
 def test_data_at_the_floor_equals_the_sequential_loop(monkeypatch):
@@ -1082,11 +1238,7 @@ def test_oracle_starts_no_thread_for_one_block_or_unpinned_blas(
     if floats is not None:
         monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
     references = [brute_force_oracle(data, 2, 1) for data in datasets]
-
-    def refuse(self):
-        raise AssertionError(f"thread {self.name} started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    refuse_thread_starts(monkeypatch)
     for data, reference in zip(datasets, references):
         assert_reports_equal(brute_force_oracle(data, 2, 1), reference)
 
