@@ -10,6 +10,7 @@ byte-identical rerun guarantee.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -353,9 +354,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.rows_path is not None:
         write_rows_csv(rows, cfg.rows_path)
     if cfg.summary_path is not None:
-        with Path(cfg.summary_path).open("w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        # Paths given as pathlib.Path are echoed as strings.
+        text = json.dumps(summary, indent=2, default=os.fspath)
+        Path(cfg.summary_path).write_text(text + "\n")
     return result
 
 

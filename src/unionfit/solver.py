@@ -4,7 +4,6 @@ instances."""
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import threading
@@ -42,21 +41,21 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # coordinates on the top k eigenvectors, and its screened residual), so a
 # screened block holds at most ORACLE_BATCH_FLOATS // (l (min(N, m)^2 +
 # (k + 1) m)) labelings, a number that does not fall as N grows past m.
-# The canonical labelings are cut into blocks of equal size (within one
-# labeling), as few as that cap allows, but at least one per thread once
-# they hold more than one thread's share of the cap (the cap over the
-# thread count); fewer stay one block and start no thread.  The labelings
-# that pass the screen are scored exactly in chunks of
-# ORACLE_BATCH_FLOATS // (l N m), since the exact path stacks l slices,
+# Each thread takes an equal share of the canonical labelings, cut into as
+# few blocks as that cap allows; labelings within one thread's share of
+# the cap (the cap over the thread count) stay one block and start no
+# thread.  The labelings that pass the screen are scored exactly in chunks
+# of ORACLE_BATCH_FLOATS // (l N m), since the exact path stacks l slices,
 # bases and residual tables of N x m per labeling.  Blocks amortize the
 # per-call cost of the stacked eigensolves, SVDs and matmuls; the cap keeps
 # peak memory flat for tall data: the tracemalloc peak of a one-thread
 # oracle stays within 2 * 8 * ORACLE_BATCH_FLOATS bytes, 4 MB, at N = 4, 20
 # and 1000 (tests/test_solver.py).
 # At N = 20, m = 12, l = 2, k = 1 the cap allows 780 labelings a block, so
-# the 2048 canonical labelings take 3 blocks of 682 or 683, and a chunk
-# holds 546; at N = 4 they take 2 blocks of 1024 on two threads.  A sweep
-# over 2^16 .. 2^19 (BENCH_15.json) picked 2^18.
+# the 2048 canonical labelings take 3 blocks of 683, 683 and 682 on one
+# thread and 4 blocks of 512 on two, and a chunk holds 546; at N = 4 they
+# take 2 blocks of 1024 on two threads.  A sweep over 2^16 .. 2^19
+# (BENCH_15.json) picked 2^18.
 ORACLE_BATCH_FLOATS = 1 << 18
 
 # solve_best_model runs restarts on threads only for data of at least this
@@ -252,7 +251,10 @@ def random_partition(
     count: int, n_groups: int, seed: int, restart: int = 0
 ) -> Partition:
     """Uniformly random labeling of points, keyed by (seed, restart)."""
+    require_int("count", count, minimum=0, error=OutOfRange)
+    require_int("n_groups", n_groups, minimum=1, error=OutOfRange)
     require_int("seed", seed, error=OutOfRange)
+    require_int("restart", restart, minimum=0, error=OutOfRange)
     rng = np.random.default_rng([seed & SEED_MASK, restart])
     return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
@@ -404,31 +406,26 @@ def _canonical_count(count: int, n_groups: int) -> int:
     return sum(row)
 
 
-def _oracle_plan(count: int, n_groups: int, per_block: int) -> tuple[int, int]:
-    """Blocks and threads ``brute_force_oracle`` cuts its canonical
-    labelings into, when the cap allows ``per_block`` labelings a block:
-    as few equal blocks as the cap allows, but at least one per thread
-    once the labelings hold more than one thread's share of the cap.
-    One block starts no thread."""
-    labelings = _canonical_count(count, n_groups)
-    threads = _workers(labelings)
-    blocks = -(-labelings // per_block)
-    if labelings * threads > per_block:
-        blocks = max(blocks, threads)
-    return blocks, min(blocks, threads)
-
-
-def _oracle_block_sizes(
+def _oracle_plan(
     count: int, ambient_dim: int, n_groups: int, max_dim: int
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Labelings per screened block and per exactly scored chunk of
-    ``brute_force_oracle``, by the rule of ``ORACLE_BATCH_FLOATS``."""
+    ``brute_force_oracle``, and its thread count, by the rule of
+    ``ORACLE_BATCH_FLOATS``: each thread takes an equal share of the
+    canonical labelings, cut into as few blocks as the cap allows, and
+    labelings within one thread's share of the cap stay one block on the
+    calling thread."""
     screened = n_groups * (min(ambient_dim, count) ** 2 + (max_dim + 1) * count)
     exact = n_groups * ambient_dim * count
-    return (
-        max(1, ORACLE_BATCH_FLOATS // screened),
-        max(1, ORACLE_BATCH_FLOATS // exact),
-    )
+    per_block = max(1, ORACLE_BATCH_FLOATS // screened)
+    labelings = _canonical_count(count, n_groups)
+    threads = _workers(labelings)
+    if labelings * threads <= per_block:
+        threads = 1
+    share = -(-labelings // threads)
+    size = -(-share // -(-share // per_block))
+    workers = min(threads, -(-labelings // size))
+    return size, max(1, ORACLE_BATCH_FLOATS // exact), workers
 
 
 def _run_threaded(run, tasks, workers: int) -> int:
@@ -480,9 +477,9 @@ def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
     return n_subspaces**count <= budget
 
 
-def _canonical_labelings(count: int, n_groups: int, blocks: int):
-    """Restricted-growth strings in lexicographic order, in ``blocks``
-    blocks of equal size.
+def _canonical_labelings(count: int, n_groups: int, size: int):
+    """Restricted-growth strings in lexicographic order, in blocks of
+    ``size``.
 
     A labeling is canonical when each label first appears after every
     smaller label (Knuth, TAOCP 4A, 7.2.1.5), that is when no label is
@@ -496,20 +493,11 @@ def _canonical_labelings(count: int, n_groups: int, blocks: int):
     l^m within int64.  The numbers of a chunk share the leading digits of
     its first and last number, so a chunk whose shared digits already fail
     the test is skipped unmade; from l = 4 on, most chunks fail.  Yields
-    ``min(blocks, S)`` int arrays of shape (size, count), S being the
-    number of canonical labelings, whose sizes differ by at most one, the
-    longer ones first.
+    int arrays of shape (size, count), the last one possibly shorter.
     """
     total = n_groups ** (count - 1)
     powers = n_groups ** np.arange(count - 1, -1, -1)
     step = max(1, ORACLE_BATCH_FLOATS // (4 * count))
-    labelings = _canonical_count(count, n_groups)
-    blocks = min(blocks, labelings)
-    size, longer = divmod(labelings, blocks)
-    sizes = itertools.chain(
-        itertools.repeat(size + 1, longer), itertools.repeat(size, blocks - longer)
-    )
-    want = next(sizes)
     kept = np.empty((0, count), dtype=int)
 
     def digits_of(numbers):  # a row per position
@@ -531,9 +519,11 @@ def _canonical_labelings(count: int, n_groups: int, blocks: int):
         digits = digits_of(np.arange(start, stop))
         canonical = growth_ok(digits)
         kept = np.concatenate([kept, digits[:, canonical].T])
-        while 0 < want <= len(kept):
-            yield kept[:want]
-            kept, want = kept[want:], next(sizes, 0)
+        while len(kept) >= size:
+            yield kept[:size]
+            kept = kept[size:]
+    if len(kept):
+        yield kept
 
 
 def brute_force_oracle(
@@ -570,9 +560,9 @@ def brute_force_oracle(
     order the blocks are screened in; the winner does not.  Blocks and
     chunks are sized by ``ORACLE_BATCH_FLOATS``, a chunk by what the SVD
     path stacks and a block by what the screen stacks, which does not grow
-    with N once N >= m.  The canonical labelings are cut into blocks of
-    equal size, as few as the cap allows, but at least one per thread
-    once they hold more than one thread's share of the cap
+    with N once N >= m.  Each thread takes an equal share of the canonical
+    labelings, cut into as few blocks of one size as the cap allows, and
+    labelings within one thread's share of the cap stay one block
     (``_oracle_plan``).
 
     Blocks are scored by ``_run_threaded`` on ``cores // blas_threads``
@@ -596,10 +586,9 @@ def brute_force_oracle(
     gram = data.gram if tall else (
         points.T[:, :, None] * points.T[:, None, :]).reshape(data.count, -1)
     groups = np.arange(n_subspaces)[:, None]
-    block, chunk = _oracle_block_sizes(
+    size, chunk, workers = _oracle_plan(
         data.count, data.ambient_dim, n_subspaces, max_dim
     )
-    blocks, workers = _oracle_plan(data.count, n_subspaces, block)
     # The least (error, block index) scored so far and its labels: the
     # first strict minimum in lexicographic order, whichever thread scores
     # which block.  ``cut`` is the least screened upper bound so far.
@@ -632,7 +621,7 @@ def brute_force_oracle(
                     best[:] = errors[j], i, labels[window[j]]
         return False
 
-    _run_threaded(score, _canonical_labelings(data.count, n_subspaces, blocks),
+    _run_threaded(score, _canonical_labelings(data.count, n_subspaces, size),
                   workers)
 
     bundle, partition, error = _svd_refit(

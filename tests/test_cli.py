@@ -27,6 +27,7 @@ from unionfit import (
     save_dataset,
 )
 from unionfit.cli import build_parser, main
+import unionfit.pipeline
 from unionfit.pipeline import min_reduced_dim, theorem_bound
 from unionfit.projection import c0
 
@@ -165,6 +166,23 @@ def test_readme_small_recipe_solves_the_identity_sketch_once(tmp_path, capsys):
     assert report["r"] == 10
     assert report["reduced_error"] == report["e0"]
     assert report["reduced_certified_optimal"] is True
+
+
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """A sketch too large to allocate is bad input: numpy's MemoryError is
+    reported in one line.  The allocation is simulated, never made."""
+    out = generate_dataset(tmp_path, points=5)
+    capsys.readouterr()
+
+    def unallocatable(spec, stream=0):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+    monkeypatch.setattr(unionfit.pipeline, "sample_matrix", unallocatable)
+    assert run_cli("reduce-solve", "--data", out, "-l", 2, "-k", 1,
+                   "--r", 3) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 43.7 TiB for an array\n"
+    assert captured.out == ""
 
 
 def test_reduce_solve_rejects_conflicting_sketch_flags(tmp_path):

@@ -155,6 +155,33 @@ def test_file_dataset_config(tmp_path):
     assert result.rows[0]["e0"] == result.rows[1]["e0"]
 
 
+def test_path_config_writes_the_summary_of_its_str_twin(tmp_path):
+    """pathlib.Path values for the dataset and the outputs are echoed as
+    strings, and the summary is that of the same paths given as str,
+    timings aside."""
+    path = tmp_path / "data.csv"
+    save_dataset(DataSet(np.random.default_rng(5).normal(size=(6, 7))), path)
+    cfg = replace(small_config(trials=1), synthetic=None, dataset_file=path)
+    summaries = []
+    for kind in (str, lambda p: p):
+        out = tmp_path / ("str" if kind is str else "path")
+        out.mkdir()
+        run_experiment(replace(cfg, dataset_file=kind(path),
+                               rows_path=kind(out / "rows.csv"),
+                               summary_path=kind(out / "summary.json")))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config_echo"]["summary_path"] == str(out / "summary.json")
+        for timing in ("elapsed_seconds", "per_trial_seconds"):
+            summary.pop(timing)
+        summary["config_echo"].pop("rows_path")
+        summary["config_echo"].pop("summary_path")
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["config_echo"]["dataset_file"] == str(path)
+    assert (tmp_path / "str" / "rows.csv").read_bytes() == (
+        tmp_path / "path" / "rows.csv").read_bytes()
+
+
 def test_eta_mode_derives_r_and_epsilon(tmp_path):
     cfg = config_from_dict(
         {

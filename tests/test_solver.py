@@ -640,19 +640,24 @@ def test_alternate_minimize_validates_inputs():
 
 
 # Each public solver entry point and the values it takes that SolverConfig
-# also validates, with the values both refuse.
+# also validates (and, for random_partition, its other arguments), with the
+# values they refuse.
 ENTRY_POINTS = {
     "solve_best_model": (lambda data, **bad: solve_best_model(
         data, 2, 1, restarts=3, **{"seed": 1, **bad}), ("seed", "tol", "stop_below")),
     "alternate_minimize": (lambda data, **bad: alternate_minimize(
         data, 2, 1, random_partition(12, 2, 1), **bad), ("tol",)),
-    "random_partition": (lambda data, **bad: random_partition(12, 2, **bad),
-                         ("seed",)),
+    "random_partition": (lambda data, **bad: random_partition(
+        **{"count": 12, "n_groups": 2, "seed": 1, **bad}),
+        ("seed", "count", "n_groups", "restart")),
 }
 BAD_VALUES = {
     "seed": [1.5, np.float64(1.0), None, True, "1"],
     "tol": [None, math.nan, math.inf, -1e-3, True, "1e-10"],
     "stop_below": ["a", math.nan, math.inf, -math.inf, True],
+    "count": [-1, 1.5, None, True],
+    "n_groups": [0, -1, 1.5, True],
+    "restart": [-1, 1.5, None, True],
 }
 
 
@@ -667,6 +672,12 @@ def test_solver_entry_points_refuse_bad_values(entry, name, value):
     data = DataSet(np.random.default_rng(0).normal(size=(5, 12)))
     with pytest.raises(OutOfRange, match=f"{name} must be"):
         ENTRY_POINTS[entry][0](data, **{name: value})
+
+
+def test_random_partition_takes_the_least_values_it_allows():
+    """No points, one group and restart 0 draw a valid labeling."""
+    assert random_partition(0, 1, 1, 0) == Partition(np.zeros(0, dtype=int), 1)
+    assert random_partition(5, 1, 1).labels.tolist() == [0] * 5
 
 
 def test_alternate_minimize_repairs_empty_groups():
@@ -1049,56 +1060,53 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
     assert solver._cores() == 1
 
 
-def assert_labelings_match_the_successor_loop(count, n_groups, blocks):
-    ours = list(solver._canonical_labelings(count, n_groups, blocks))
+def assert_labelings_match_the_successor_loop(count, n_groups, size):
+    ours = list(solver._canonical_labelings(count, n_groups, size))
     every = np.concatenate(list(reference_canonical_labelings(count, n_groups, 64)))
-    theirs = np.array_split(every, min(blocks, len(every)))
+    theirs = [every[start : start + size] for start in range(0, len(every), size)]
     assert len(ours) == len(theirs), (count, n_groups)
     for a, b in zip(ours, theirs):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b), (count, n_groups)
 
 
-@pytest.mark.parametrize("blocks", [1, 7, 136])
-def test_canonical_labelings_match_the_successor_loop(blocks):
+@pytest.mark.parametrize("size", [1, 7, 136, 10**6])
+def test_canonical_labelings_match_the_successor_loop(size):
     """The labelings of the loop the enumeration replaced, in the same
-    order, cut into ``blocks`` blocks (or one per labeling, when fewer) of
-    equal size within one labeling, the longer ones first.  From l = 3,
-    m = 10 and l = 4, m = 8 the digits take several chunks."""
+    order, cut into blocks of ``size`` labelings, the last one possibly
+    shorter (one block of all at ``size = 10**6``).  From l = 3, m = 10 and
+    l = 4, m = 8 the digits take several chunks."""
     for count in range(1, 12):
         for n_groups in range(1, 5):
-            assert_labelings_match_the_successor_loop(count, n_groups, blocks)
+            assert_labelings_match_the_successor_loop(count, n_groups, size)
 
 
 @pytest.mark.parametrize("floats, max_count", [(1, 7), (300, 9), (1000, 9)])
 def test_canonical_labelings_skip_no_live_chunk(monkeypatch, floats, max_count):
     """Small digit chunks share long prefixes, so many are skipped as dead
-    (one number per chunk at ``floats = 1``); the blocks must not change."""
+    (one number per chunk at ``floats = 1``); the blocks must not change,
+    whether a block is cut from one chunk or gathered from many."""
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-    for count, n_groups, blocks in itertools.product(
-        range(1, max_count + 1), (4, 5), (1, 13)
+    for count, n_groups, size in itertools.product(
+        range(1, max_count + 1), (4, 5), (13, 1000)
     ):
-        assert_labelings_match_the_successor_loop(count, n_groups, blocks)
+        assert_labelings_match_the_successor_loop(count, n_groups, size)
 
 
 def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
                                before_threads=lambda: None):
     """brute_force_oracle on one thread at the default block size, then,
     after ``before_threads()``, on two threads at a cap of ``per_block``
-    labelings a screened block; returns both reports.  The cap comes from
-    the oracle's own ``_oracle_block_sizes``, at the least
-    ``ORACLE_BATCH_FLOATS`` that gives ``per_block``.  The enumeration must
-    hold more than ``per_block`` canonical labelings."""
+    labelings a screened block; returns both reports.  The cap is the
+    least ``ORACLE_BATCH_FLOATS`` that gives ``per_block``
+    (``set_block_cap``).  The enumeration must hold more than ``per_block``
+    canonical labelings."""
     pin_blas(monkeypatch, cores=1)
     sequential = brute_force_oracle(data, n_groups, k)
     before_threads()
     pin_blas(monkeypatch, cores=2)
-    for floats in itertools.count(1):
-        monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-        block, chunk = solver._oracle_block_sizes(
-            data.count, data.ambient_dim, n_groups, k)
-        if block == per_block:
-            break
+    set_block_cap(monkeypatch, data.count, data.ambient_dim, n_groups, k, per_block)
+    size, chunk, _ = solver._oracle_plan(data.count, data.ambient_dim, n_groups, k)
     workers, screened, scored = [], [], []
     run_threaded = solver._run_threaded
     screen = solver.gram_screen
@@ -1121,17 +1129,28 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
     monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
     threaded = brute_force_oracle(data, n_groups, k)
     assert workers == [2]
-    # The floats in flight: as few blocks as the cap allows, of equal size
-    # within one labeling, and the exact scores see no more than one chunk.
-    assert len(screened) == -(-canonical_count(data.count, n_groups) // per_block)
-    assert max(screened) <= n_groups * per_block
-    assert max(screened) - min(screened) <= n_groups
+    # The floats in flight: blocks of ``size`` labelings within the cap,
+    # the last one possibly shorter, at least one per thread, and the exact
+    # scores see no more than one chunk.
+    total = canonical_count(data.count, n_groups)
+    assert len(screened) >= 2 and sum(screened) == n_groups * total
+    *full, last = sorted(screened, reverse=True)
+    assert full == [n_groups * size] * len(full) and last <= n_groups * size
+    assert size <= per_block and size <= -(-total // 2)
     assert max(scored) <= n_groups * chunk
     return sequential, threaded
 
 
 def canonical_count(count, n_groups):
     return sum(map(len, reference_canonical_labelings(count, n_groups, 64)))
+
+
+def set_block_cap(monkeypatch, count, ambient_dim, n_groups, k, per_block):
+    """Set ``ORACLE_BATCH_FLOATS`` to the least value that allows
+    ``per_block`` labelings a screened block: ``per_block`` times the
+    floats one labeling's screen stacks, by the cap's rule."""
+    screened = n_groups * (min(ambient_dim, count) ** 2 + (k + 1) * count)
+    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", per_block * screened)
 
 
 @st.composite
@@ -1203,8 +1222,8 @@ def test_exception_in_an_oracle_helper_reaches_the_caller(monkeypatch):
     data = DataSet(np.random.default_rng(6).normal(size=(3, 9)))
     pin_blas(monkeypatch)
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", 4 * 2 * data.points.size)
-    block, _ = solver._oracle_block_sizes(data.count, data.ambient_dim, 2, 1)
-    blocks = -(-canonical_count(data.count, 2) // block)
+    size, _, _ = solver._oracle_plan(data.count, data.ambient_dim, 2, 1)
+    blocks = -(-canonical_count(data.count, 2) // size)
     raised = threading.Event()
     screen = solver.gram_screen
     calls = []
@@ -1243,8 +1262,14 @@ def test_oracle_starts_no_thread_for_one_block_or_unpinned_blas(
         assert_reports_equal(brute_force_oracle(data, 2, 1), reference)
 
 
+def plan_at_cap(monkeypatch, count, n_groups, per_block, ambient_dim=3, k=1):
+    """``_oracle_plan`` at a cap of ``per_block`` labelings a block."""
+    set_block_cap(monkeypatch, count, ambient_dim, n_groups, k, per_block)
+    return solver._oracle_plan(count, ambient_dim, n_groups, k)
+
+
 @pytest.mark.parametrize(
-    "count, n_groups, batch, workers",
+    "count, n_groups, per_block, workers",
     [
         # 41 canonical labelings of 5 points in <= 3 groups: on two threads
         # they stay one block up to a cap of 82, twice their count
@@ -1257,37 +1282,56 @@ def test_oracle_starts_no_thread_for_one_block_or_unpinned_blas(
         (12, 2, 1, 2),  # at most one thread per core
     ],
 )
-def test_oracle_thread_count_rule(monkeypatch, count, n_groups, batch, workers):
-    """``batch`` is the cap on labelings a block; BLAS pinned on two cores,
-    then unpinned."""
+def test_oracle_thread_count_rule(monkeypatch, count, n_groups, per_block, workers):
+    """``per_block`` is the cap on labelings a block; BLAS pinned on two
+    cores, then unpinned."""
     pin_blas(monkeypatch)
-    assert solver._oracle_plan(count, n_groups, batch)[1] == workers
+    assert plan_at_cap(monkeypatch, count, n_groups, per_block)[2] == workers
     pin_blas(monkeypatch, threads=None)
-    assert solver._oracle_plan(count, n_groups, batch)[1] == 1
+    assert plan_at_cap(monkeypatch, count, n_groups, per_block)[2] == 1
 
 
 @given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 5000),
        st.integers(1, 8))
 def test_oracle_block_plan(count, n_groups, per_block, cores):
-    """As few blocks as a cap of ``per_block`` labelings allows, but at
-    least one per thread once the labelings exceed one thread's share of
-    the cap; the blocks differ by at most one labeling, and one block
-    starts no thread."""
+    """Each of t threads takes an equal share of the S canonical
+    labelings, cut into as few blocks as a cap of ``per_block`` allows:
+    blocks of one size within the cap, the last one possibly shorter, and
+    no larger than ceil(S / t), so that every thread has a block once
+    S > t (t - 1).  Labelings within one thread's share of the cap stay
+    one block and start no thread."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         pin_blas(monkeypatch, cores=cores)
-        blocks, workers = solver._oracle_plan(count, n_groups, per_block)
+        size, _, workers = plan_at_cap(monkeypatch, count, n_groups, per_block)
         sizes = [len(block) for block in
-                 solver._canonical_labelings(count, n_groups, blocks)]
+                 solver._canonical_labelings(count, n_groups, size)]
     total = canonical_count(count, n_groups)
     threads = min(cores, total)
-    assert sum(sizes) == total and len(sizes) == blocks
-    assert max(sizes) - min(sizes) <= 1
-    assert max(sizes) <= per_block
+    assert sum(sizes) == total
+    assert sizes[:-1] == [size] * (len(sizes) - 1) and sizes[-1] <= size
+    assert size <= per_block
     if total * threads > per_block:
-        assert blocks == max(-(-total // per_block), threads)
-        assert workers == threads
+        share = -(-total // threads)
+        assert size <= share
+        assert -(-share // size) == -(-share // per_block)  # fewest blocks
+        assert workers == min(threads, len(sizes))
+        assert len(sizes) >= threads or total <= threads * (threads - 1)
     else:
-        assert (blocks, workers) == (1, 1)
+        assert (sizes, workers) == ([total], 1)
+
+
+def test_oracle_block_plan_at_the_benchmark_shape(monkeypatch):
+    """N = 20, m = 12, l = 2, k = 1: 3 blocks of 683, 683 and 682 on one
+    thread and 4 of 512 on two; at N = 4, 2 blocks of 1024 on two."""
+    plans = {}
+    for threads, n in ((None, 20), ("1", 20), ("1", 4)):
+        pin_blas(monkeypatch, threads=threads)
+        size, _, workers = solver._oracle_plan(12, n, 2, 1)
+        sizes = [len(block) for block in solver._canonical_labelings(12, 2, size)]
+        plans[threads, n] = sizes, workers
+    assert plans[None, 20] == ([683, 683, 682], 1)
+    assert plans["1", 20] == ([512] * 4, 2)
+    assert plans["1", 4] == ([1024] * 2, 2)
 
 
 def test_oracle_axis_instance():
@@ -1481,8 +1525,8 @@ def test_oracle_blocks_do_not_shrink_as_the_data_grows_tall(
     assert len(short) > 1
     assert tall == short
     assert sum(short) == canonical_count(m, n_groups)
-    assert (solver._oracle_block_sizes(m, 2000, n_groups, k)[1]
-            < solver._oracle_block_sizes(m, 20, n_groups, k)[1])
+    assert (solver._oracle_plan(m, 2000, n_groups, k)[1]
+            < solver._oracle_plan(m, 20, n_groups, k)[1])
 
 
 @pytest.mark.parametrize("n, m", [(4, 12), (20, 12), (1000, 14)])
@@ -1516,9 +1560,8 @@ def test_oracle_scores_a_window_of_every_labeling_in_chunks(monkeypatch, floats)
     pin_blas(monkeypatch)
     if floats is not None:
         monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-    block, chunk = solver._oracle_block_sizes(data.count, data.ambient_dim, 2, 1)
+    _, chunk, workers = solver._oracle_plan(data.count, data.ambient_dim, 2, 1)
     assert 1 < chunk < canonical_count(data.count, 2)
-    workers = solver._oracle_plan(data.count, 2, block)[1]
     assert workers == (1 if floats is None else 2)
     scored = []
     score = solver.best_subspace_residuals
