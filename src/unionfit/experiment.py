@@ -273,8 +273,7 @@ def _format_cell(value) -> str:
 def _trial_dataset(cfg: ExperimentConfig, trial: int, file_data) -> DataSet:
     if cfg.synthetic is not None:
         spec = replace(cfg.synthetic, seed=derive_seed(cfg.master_seed, trial, 0))
-        data, _ = generate_synthetic(spec)
-        return data
+        return generate_synthetic(spec)[0]
     return file_data
 
 
@@ -284,8 +283,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The exit code is 1 only when a hard internal invariant failed
     (non-finite or inconsistent errors, or a lifted error below e0 or
     above ||F||_F^2, the error of any bundle at 0), never for a violated
-    probabilistic bound; those are merely counted.
+    probabilistic bound; those are merely counted.  An output path in a
+    missing directory raises ``InvalidSpec`` before any trial runs.
     """
+    for path in (cfg.rows_path, cfg.summary_path):
+        if path is not None and not Path(path).parent.is_dir():
+            raise InvalidSpec(f"output directory {Path(path).parent} does not exist")
     t_start = time.perf_counter()
     file_data = None
     if cfg.dataset_file is not None:

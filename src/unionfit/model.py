@@ -65,15 +65,17 @@ def matrix_rank(a: np.ndarray) -> int:
 
 def _frobenius_norm(points: np.ndarray) -> float:
     """||F||_F, inf only when it exceeds the float range.  np.linalg.norm
-    sums squares, which overflow from entries of about 1e154 on; then the
+    sums squares, which overflow from entries of about 1e154 on and, below
+    about 1e-154, leave the normal range and lose bits or vanish; there the
     norm is taken of the points divided by a power of two near the largest
-    entry, an exact scaling, and multiplied back."""
+    entry, an exact scaling, and multiplied back.  Data whose largest
+    square is a normal float keeps the plain norm's bits."""
+    top = max(np.max(points), -np.min(points))
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(points))
-        if norm == np.inf:
-            exponent = np.frexp(np.max(np.abs(points)))[1]
-            scaled = np.linalg.norm(np.ldexp(points, -exponent))
-            norm = float(np.ldexp(scaled, exponent))
+        if norm == np.inf or top * top < np.finfo(float).tiny:
+            shift = np.frexp(top)[1]
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(points, -shift)), shift))
     return norm
 
 
@@ -107,8 +109,9 @@ class DataSet:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """F^T F (m x m), formed on first access only.  Alternating
-        minimization reads it when m <= l N, the oracle when N >= m."""
+        """F^T F (m x m), formed on first access only.  Both searches, the
+        oracle's screen and alternating minimization, read it by one rule,
+        when the l groups average at most N points (``solver._reads_gram``)."""
         gram = self.points.T @ self.points
         gram.setflags(write=False)
         return gram

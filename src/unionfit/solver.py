@@ -36,11 +36,13 @@ DEFAULT_MAX_ITER = 100
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 # The oracle sizes its stacked arrays to at most this many floats per
-# thread.  A labeling's Gram screen stacks l Gram matrices of at most
-# min(N, m)^2 floats and l rows of (k + 1) m floats (each point's
-# coordinates on the top k eigenvectors, and its screened residual), so a
-# screened block holds at most ORACLE_BATCH_FLOATS // (l (min(N, m)^2 +
-# (k + 1) m)) labelings, a number that does not fall as N grows past m.
+# thread.  A labeling's Gram screen stacks l Gram matrices of at most n^2
+# floats, n the order of the Gram matrix its groups' fits read (m, from
+# F^T F, where ``_reads_gram`` holds, else N), and l rows of (k + 1) m
+# floats (each point's coordinates on the top k eigenvectors, and its
+# screened residual), so a screened block holds at most
+# ORACLE_BATCH_FLOATS // (l (n^2 + (k + 1) m)) labelings, a number that
+# does not fall as N grows past m / l.
 # Each thread takes an equal share of the canonical labelings, cut into as
 # few blocks as that cap allows; labelings within one thread's share of
 # the cap (the cap over the thread count) stay one block and start no
@@ -49,8 +51,8 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # bases and residual tables of N x m per labeling.  Blocks amortize the
 # per-call cost of the stacked eigensolves, SVDs and matmuls; the cap keeps
 # peak memory flat for tall data: the tracemalloc peak of a one-thread
-# oracle stays within 2 * 8 * ORACLE_BATCH_FLOATS bytes, 4 MB, at N = 4, 20
-# and 1000 (tests/test_solver.py).
+# oracle stays within 2 * 8 * ORACLE_BATCH_FLOATS bytes, 4 MB, at N = 4,
+# 8, 20 and 1000 (tests/test_solver.py).
 # At N = 20, m = 12, l = 2, k = 1 the cap allows 780 labelings a block, so
 # the 2048 canonical labelings take 3 blocks of 683, 683 and 682 on one
 # thread and 4 blocks of 512 on two, and a chunk holds 546; at N = 4 they
@@ -160,13 +162,13 @@ def alternate_minimize(
 
     Inside the loop the groups whose members changed get their rows of
     the distance table, their Gram fits, from one ``fitting.gram_screen``
-    call: from ``data.gram`` when m <= l N, else from each group's X X^T.  A
-    row the screen does not trust is recomputed by the SVD path,
-    ``best_subspace_residuals``.  The labels fitted by the last iteration
-    are then refitted once with the SVD (``bundle_from_partition``) and
-    assigned once (``partition_from_bundle``), so the returned bundle,
-    partition and error, which replaces the last trace entry, are those of
-    the SVD path.
+    call: from ``data.gram`` where ``_reads_gram`` holds, else from each
+    group's X X^T.  A row the screen does not trust is recomputed by the
+    SVD path, ``best_subspace_residuals``.  The labels fitted by the last
+    iteration are then refitted once with the SVD
+    (``bundle_from_partition``) and assigned once
+    (``partition_from_bundle``), so the returned bundle, partition and
+    error, which replaces the last trace entry, are those of the SVD path.
 
     With ``refit=False`` that closing pass is skipped: the report holds no
     bundle, the labels the last iteration fitted and the loop's last
@@ -225,11 +227,16 @@ def alternate_minimize(
                        error_traces=(tuple(errors),), slack=float(np.sum(slack)))
 
 
+def _reads_gram(count: int, ambient_dim: int, n_groups: int) -> bool:
+    """The one Gram rule of both searches: a group's fit reads its block of
+    F^T F when the l groups average at most N points (m <= l N), so that
+    the block is mostly no larger than the group's X X^T; else X X^T."""
+    return count <= n_groups * ambient_dim
+
+
 def _fit_gram(data: DataSet, n_subspaces: int) -> np.ndarray | None:
-    """``data.gram`` (F^T F) when the l groups average at most N points
-    (m <= l N), so that a group's block of it is mostly no larger than its
-    X X^T, else None."""
-    return data.gram if data.count <= n_subspaces * data.ambient_dim else None
+    """``data.gram`` (F^T F) where ``_reads_gram`` holds, else None."""
+    return data.gram if _reads_gram(data.count, data.ambient_dim, n_subspaces) else None
 
 
 def _group_rows(points, gram, members, k):
@@ -390,9 +397,7 @@ def _workers(tasks: int) -> int:
 def _restart_workers(n_floats: int, restarts: int) -> int:
     """Threads ``solve_best_model`` runs ``restarts`` restarts on, for data
     of ``n_floats`` entries: one below ``PARALLEL_MIN_FLOATS``."""
-    if n_floats < PARALLEL_MIN_FLOATS:
-        return 1
-    return _workers(restarts)
+    return 1 if n_floats < PARALLEL_MIN_FLOATS else _workers(restarts)
 
 
 def _canonical_count(count: int, n_groups: int) -> int:
@@ -411,11 +416,13 @@ def _oracle_plan(
 ) -> tuple[int, int, int]:
     """Labelings per screened block and per exactly scored chunk of
     ``brute_force_oracle``, and its thread count, by the rule of
-    ``ORACLE_BATCH_FLOATS``: each thread takes an equal share of the
-    canonical labelings, cut into as few blocks as the cap allows, and
+    ``ORACLE_BATCH_FLOATS``: a screened labeling holds l Gram matrices of
+    the order ``_reads_gram`` picks, each thread takes an equal share of
+    the canonical labelings, cut into as few blocks as the cap allows, and
     labelings within one thread's share of the cap stay one block on the
     calling thread."""
-    screened = n_groups * (min(ambient_dim, count) ** 2 + (max_dim + 1) * count)
+    order = count if _reads_gram(count, ambient_dim, n_groups) else ambient_dim
+    screened = n_groups * (order**2 + (max_dim + 1) * count)
     exact = n_groups * ambient_dim * count
     per_block = max(1, ORACLE_BATCH_FLOATS // screened)
     labelings = _canonical_count(count, n_groups)
@@ -559,18 +566,23 @@ def brute_force_oracle(
     the exact path alone would pick.  Which labelings pass depends on the
     order the blocks are screened in; the winner does not.  Blocks and
     chunks are sized by ``ORACLE_BATCH_FLOATS``, a chunk by what the SVD
-    path stacks and a block by what the screen stacks, which does not grow
-    with N once N >= m.  Each thread takes an equal share of the canonical
-    labelings, cut into as few blocks of one size as the cap allows, and
-    labelings within one thread's share of the cap stay one block
-    (``_oracle_plan``).
+    path stacks and a block by what the screen stacks.  The screen reads
+    blocks of ``data.gram`` (F^T F) exactly where alternating minimization
+    does, where ``_reads_gram`` holds, so a block does not shrink as N
+    grows past m / l; else each group's X X^T.  Each thread takes an equal
+    share of the canonical labelings, cut into as few blocks of one size
+    as the cap allows, and labelings within one thread's share of the cap
+    stay one block (``_oracle_plan``).
 
     Blocks are scored by ``_run_threaded`` on ``cores // blas_threads``
-    threads, at most one per block, so one block starts no thread.  A
-    labeling's score does not depend on its block or chunk, and the winner
-    is the least (error, block index), each chunk's least error compared
-    in order, so every field of the report is bit-identical to the
-    one-thread run's.  An exception in a block propagates to the caller.
+    threads, at most one per block, so one block starts no thread.  The
+    threads share only the running cut.  A labeling's score does not
+    depend on its block or chunk; each block records its first strict
+    minimum, its chunks compared in order, under its block index, and once
+    every block is scored the winner is the least (error, block index), as
+    ``solve_best_model`` picks among its restarts.  So every field of the
+    report is bit-identical to the one-thread run's.  An exception in a
+    block propagates to the caller.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
@@ -579,28 +591,26 @@ def brute_force_oracle(
         raise BudgetExceeded(n_subspaces**data.count, budget)
 
     points = data.points
-    n_rows = data.ambient_dim
-    tall = n_rows >= data.count
-    # F^T F, or the outer products x_j x_j^T, whose masked sums are the
-    # slices' X X^T.
-    gram = data.gram if tall else (
+    gram = _fit_gram(data, n_subspaces)
+    # Without F^T F, the outer products x_j x_j^T, whose masked sums are
+    # the slices' X X^T.
+    outer = None if gram is not None else (
         points.T[:, :, None] * points.T[:, None, :]).reshape(data.count, -1)
     groups = np.arange(n_subspaces)[:, None]
     size, chunk, workers = _oracle_plan(
         data.count, data.ambient_dim, n_subspaces, max_dim
     )
-    # The least (error, block index) scored so far and its labels: the
-    # first strict minimum in lexicographic order, whichever thread scores
-    # which block.  ``cut`` is the least screened upper bound so far.
-    best = [np.inf, -1, None]
+    # Each block's least exact error and its labels, by block index; ``cut``,
+    # the least screened upper bound so far, is all the threads share.
+    found = {}
     cut = [np.inf]
     lock = threading.Lock()
 
     def score(i: int, labels: np.ndarray) -> bool:
         shape = len(labels), n_subspaces, data.count
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
-        grams = gram if tall else (
-            members.astype(float) @ gram).reshape(-1, n_rows, n_rows)
+        grams = gram if outer is None else (
+            members.astype(float) @ outer).reshape(len(members), data.ambient_dim, -1)
         rows, slack = gram_screen(points, grams, members, max_dim)
         approx = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
         slack = np.sum(slack.reshape(shape[:2]), axis=1)
@@ -616,15 +626,12 @@ def brute_force_oracle(
             table = table.reshape(window.size, n_subspaces, data.count)
             errors = np.sum(np.min(table, axis=1), axis=1)
             j = int(np.argmin(errors))
-            with lock:
-                if (errors[j], i) < (best[0], best[1]):
-                    best[:] = errors[j], i, labels[window[j]]
+            if i not in found or errors[j] < found[i][0]:
+                found[i] = errors[j], labels[window[j]]
         return False
 
     _run_threaded(score, _canonical_labelings(data.count, n_subspaces, size),
                   workers)
-
-    bundle, partition, error = _svd_refit(
-        data, Partition(best[2], n_subspaces), max_dim
-    )
+    _, labels = found[min(sorted(found), key=lambda i: found[i][0])]
+    bundle, partition, error = _svd_refit(data, Partition(labels, n_subspaces), max_dim)
     return SolveReport(bundle, partition, error, certified_optimal=True)

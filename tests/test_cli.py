@@ -27,6 +27,7 @@ from unionfit import (
     save_dataset,
 )
 from unionfit.cli import build_parser, main
+import unionfit.experiment
 import unionfit.pipeline
 from unionfit.pipeline import min_reduced_dim, theorem_bound
 from unionfit.projection import c0
@@ -402,6 +403,26 @@ def test_oracle_normalizes_data_whose_squared_norm_overflows(tmp_path, capsys):
     assert json.loads(outputs[0])["certified_optimal"] is True
 
 
+@pytest.mark.parametrize("command", [
+    ("oracle", "-l", 2, "-k", 1, "--normalize"),
+    ("reduce-solve", "-l", 2, "-k", 1, "--r", 4, "--epsilon", "0.5", "--seed", 3),
+], ids=lambda command: command[0])
+def test_data_whose_squares_underflow_runs_as_its_unscaled_twin(tmp_path, capsys,
+                                                                command):
+    """Points scaled by 2^-565 have squares below the float range, yet a
+    finite, exact ||F||_F: normalizing them gives the bits of the unscaled
+    points, so both commands print the unscaled file's JSON."""
+    plain = generate_dataset(tmp_path, noise="0.05")
+    scaled = tmp_path / "scaled.csv"
+    save_dataset(DataSet(np.ldexp(load_dataset(plain).points, -565)), scaled)
+    outputs = []
+    for path in (plain, scaled):
+        capsys.readouterr()
+        assert run_cli(command[0], "--data", path, *command[1:]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "unionfit.cli", "bounds", "--epsilon", "0.5"],
@@ -609,6 +630,28 @@ def test_experiment_rejects_settings_before_any_trial(tmp_path, capsys, bad):
     assert run_cli("experiment", "--config", config) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--summary"])
+def test_experiment_output_in_a_missing_directory_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, flag
+):
+    """An output path given by the config or by the CLI's override, in a
+    directory that does not exist, is a config error: exit 2 before the
+    first trial, and nothing is written."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(unionfit.experiment, "run_trial", no_trial)
+    missing = tmp_path / "missing" / "out"
+    config = _experiment_config(tmp_path, output={"rows": str(missing)})
+    assert run_cli("experiment", "--config", config) == 2
+    config = _experiment_config(tmp_path)
+    assert run_cli("experiment", "--config", config, flag, missing) == 2
+    err = capsys.readouterr().err
+    assert "does not exist" in err and "Traceback" not in err
+    assert not (tmp_path / "rows.csv").exists()
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("dataset", [

@@ -359,6 +359,21 @@ def test_hard_invariant_failure_sets_exit_code(monkeypatch):
     assert "inconsistent lifted error" in result.summary["violations"]["hard_detail"][0]
 
 
+@pytest.mark.parametrize("output", ["rows_path", "summary_path"])
+def test_output_in_a_missing_directory_is_refused_before_any_trial(
+    tmp_path, monkeypatch, output
+):
+    import unionfit.experiment as exp
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(exp, "run_trial", no_trial)
+    cfg = replace(small_config(trials=2), **{output: tmp_path / "missing" / "out"})
+    with pytest.raises(InvalidSpec, match="missing does not exist"):
+        run_experiment(cfg)
+
+
 @pytest.mark.parametrize("excess, failed", [(0.0, False), (1e-6, True)])
 def test_lifted_error_above_the_data_norm_is_a_hard_failure(monkeypatch, excess,
                                                             failed):

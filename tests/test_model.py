@@ -130,6 +130,22 @@ def test_normalize_rescales_data_whose_squared_norm_overflows(exponent):
         math.sqrt(6) * 1e160, rel=1e-15)
 
 
+def test_normalize_undoes_power_of_two_scales_where_squares_underflow():
+    """Squares leave the normal range from entries of about 1e-154 down and
+    vanish from about 1e-162: ||F||_F is still taken exactly, so the points
+    scaled by any power of two down to 2^-1000 normalize to the same bits
+    as the unscaled points."""
+    points = np.random.default_rng(9).normal(size=(3, 5))
+    norm = DataSet(points).frobenius_norm
+    reference = normalize_dataset(DataSet(points)).points
+    for shift in range(0, 1001, 5):
+        data = DataSet(np.ldexp(points, -shift))
+        assert data.frobenius_norm == np.ldexp(norm, -shift)
+        assert normalize_dataset(data).points.tobytes() == reference.tobytes()
+    assert DataSet(np.full((3, 4), 1e-170)).frobenius_norm == pytest.approx(
+        math.sqrt(12) * 1e-170, rel=1e-15)
+
+
 def test_normalize_preserves_rank_and_angles():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 4)) * 37.0

@@ -829,11 +829,11 @@ def count_gram_forms(monkeypatch):
 def test_gram_is_formed_once_per_solve_and_only_where_groups_fit_in_n(
     monkeypatch,
 ):
-    """F^T F is m x m, 32 MB at m = 2000.  Alternating minimization forms it
-    only when its l groups average at most N points (m <= l N), so not at
-    the full-space benchmark's shape (m = 1000 > 4 * 200), and the oracle
-    only when N >= m, so not at N = 4.  A solve forms it once, before the
-    restarts' threads start."""
+    """F^T F is m x m, 32 MB at m = 2000.  Both searches form it by one
+    rule, only when the l groups average at most N points (m <= l N): so
+    not at the full-space benchmark's shape (m = 1000 > 4 * 200), nor for
+    an oracle at N = 4, m = 12, l = 2, but for one at N = 8, where m > N.
+    A solve forms it once, before the restarts' threads start."""
     forms = count_gram_forms(monkeypatch)
     spec = SyntheticSpec(ambient_dim=200, n_subspaces=4, max_dim=3,
                          n_points=1000, noise_sigma=0.01, seed=3)
@@ -841,6 +841,9 @@ def test_gram_is_formed_once_per_solve_and_only_where_groups_fit_in_n(
                      max_iter=2)
     brute_force_oracle(DataSet(np.random.default_rng(4).normal(size=(4, 12))), 2, 1)
     assert forms == []
+    brute_force_oracle(DataSet(np.random.default_rng(4).normal(size=(8, 12))), 2, 1)
+    assert forms == [(8, 12)]
+    forms.clear()
     solve_best_model(DataSet(np.random.default_rng(6).normal(size=(30, 40))), 2,
                      1, restarts=3, seed=1)
     assert forms == [(30, 40)]
@@ -1148,8 +1151,12 @@ def canonical_count(count, n_groups):
 def set_block_cap(monkeypatch, count, ambient_dim, n_groups, k, per_block):
     """Set ``ORACLE_BATCH_FLOATS`` to the least value that allows
     ``per_block`` labelings a screened block: ``per_block`` times the
-    floats one labeling's screen stacks, by the cap's rule."""
-    screened = n_groups * (min(ambient_dim, count) ** 2 + (k + 1) * count)
+    floats one labeling's screen stacks, by the cap's rule, whose Gram
+    matrices are of order m where the solver's Gram rule reads F^T F, else
+    of order N."""
+    reads_gram = solver._reads_gram(count, ambient_dim, n_groups)
+    order = count if reads_gram else ambient_dim
+    screened = n_groups * (order**2 + (k + 1) * count)
     monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", per_block * screened)
 
 
@@ -1211,6 +1218,35 @@ def test_threaded_oracle_keeps_the_lowest_block_of_a_tie(monkeypatch):
     error, bundle, partition = reference_oracle(data, 2, 1)
     assert (threaded.error, threaded.partition.groups) == (error, partition.groups)
     assert [v.dim for v in bundle] == [1, 0]
+
+
+@pytest.mark.parametrize("on_axis", [True, False], ids=["tied", "random"])
+def test_oracle_on_more_threads_than_cores_keeps_the_one_thread_winner(
+    monkeypatch, on_axis
+):
+    """Eight threads, more than the cores they run on, switching every
+    microsecond, over 32 blocks of 16 labelings that each record their own
+    winner: the report equals the one-thread run's, also when every
+    labeling scores exactly 0.0 and block 0's first labeling must win the
+    tie."""
+    rng = np.random.default_rng(16)
+    points = (np.vstack([np.arange(1.0, 11.0), np.zeros((2, 10))]) if on_axis
+              else rng.normal(size=(3, 10)))
+    data = DataSet(points)
+    pin_blas(monkeypatch, cores=1)
+    sequential = brute_force_oracle(data, 2, 1)
+    pin_blas(monkeypatch, cores=8)
+    set_block_cap(monkeypatch, data.count, data.ambient_dim, 2, 1, 16)
+    assert solver._oracle_plan(data.count, data.ambient_dim, 2, 1)[::2] == (16, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = brute_force_oracle(data, 2, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_reports_equal(threaded, sequential)
+    if on_axis:
+        assert threaded.error == 0.0
 
 
 def test_exception_in_an_oracle_helper_reaches_the_caller(monkeypatch):
@@ -1529,13 +1565,14 @@ def test_oracle_blocks_do_not_shrink_as_the_data_grows_tall(
             < solver._oracle_plan(m, 20, n_groups, k)[1])
 
 
-@pytest.mark.parametrize("n, m", [(4, 12), (20, 12), (1000, 14)])
+@pytest.mark.parametrize("n, m", [(4, 12), (8, 12), (20, 12), (1000, 14)])
 def test_oracle_memory_stays_within_its_cap(monkeypatch, n, m):
     """The tracemalloc peak of a one-thread oracle, its blocks screened and
     scored one at a time, stays within the multiple of
     ``8 * ORACLE_BATCH_FLOATS`` bytes that the cap's comment states: at
-    N = 4 every labeling fits in one block, at N = 20 they take three, and
-    at N = 1000 the exact chunks hold 9 labelings of 1000 x 14 slices."""
+    N = 4 every labeling fits in one block, at N = 8 the screen reads
+    blocks of F^T F though m > N, at N = 20 they take three, and at
+    N = 1000 the exact chunks hold 9 labelings of 1000 x 14 slices."""
     data = DataSet(np.random.default_rng(15).normal(size=(n, m)))
     pin_blas(monkeypatch, threads=None)
     tracemalloc.start()
