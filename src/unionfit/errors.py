@@ -131,13 +131,22 @@ def check_model_dims(n_subspaces, max_dim, count, ambient_dim, error=OutOfRange)
 
 def check_data_scale(frobenius_norm, error=OutOfRange):
     """Data whose squared Frobenius norm ||F||_F^2, the error of the empty
-    model that every solver's errors stay below, is a finite float."""
+    model that every solver's errors stay below, is a finite float, and a
+    normal one unless it is 0: below the normal range the errors lose
+    their bits or vanish, and a model error of 0 would read as exact."""
     norm = float(frobenius_norm)
-    if not math.isfinite(norm * norm):  # norm ** 2 raises OverflowError
+    square = norm * norm  # norm ** 2 raises OverflowError
+    if not math.isfinite(square):
         raise error(
             "the squared Frobenius norm ||F||_F^2 of the points overflows a "
             f"float (||F||_F = {norm!r}); rescale them first, e.g. with "
             "--normalize, which needs a finite ||F||_F"
+        )
+    if norm > 0.0 and square < sys.float_info.min:
+        raise error(
+            "the squared Frobenius norm ||F||_F^2 of the points is below the "
+            f"normal float range (||F||_F = {norm!r}); rescale them first, "
+            "e.g. with --normalize"
         )
 
 

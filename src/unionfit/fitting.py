@@ -95,8 +95,19 @@ def best_subspace_residuals(
     return rows
 
 
+def squared_norms(points: np.ndarray, gram: np.ndarray | None = None):
+    """Each column's squared norm and their sum ||F||_F^2, as ``gram_screen``
+    reads them: the diagonal of ``gram`` (F^T F) when it is given, so no
+    pass over the N x m points, else the points' summed squares.  They
+    depend only on the data, so a search computes them once and hands them
+    to every screen call."""
+    with np.errstate(all="ignore"):
+        norms = np.diagonal(gram) if gram is not None else np.sum(points * points, axis=0)
+        return norms, np.sum(norms)
+
+
 def gram_screen(
-    points: np.ndarray, gram: np.ndarray, members: np.ndarray, k: int
+    points: np.ndarray, gram: np.ndarray, members: np.ndarray, k: int, norms=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``best_subspace_residuals`` approximated from Gram eigenpairs, with
     a bound on each row's error: the one Gram-eigen kernel, which fits
@@ -106,6 +117,8 @@ def gram_screen(
     ``best_subspace_residuals``.  ``gram`` is F^T F (m x m,
     ``DataSet.gram``), the cheaper input when the slices are at most N
     wide, or the B x N x N stack of the slices' own Gram matrices X X^T.
+    ``norms`` is ``squared_norms(points, F^T F or None)``, taken from the
+    same form of Gram data; when omitted it is computed here.
     Row b of ``rows`` holds each column's squared norm less its squared
     projection onto the top t = min(k, width) eigenvectors of slice b's
     Gram matrix, clamped at 0: its w x w block of F^T F (one stacked
@@ -143,40 +156,42 @@ def gram_screen(
     """
     n_rows, count = points.shape
     size = n_rows + count
+    if norms is None:
+        norms = squared_norms(points, gram if gram.ndim == 2 else None)
+    norms, fro2 = norms
 
     def bound(s):  # d(s) of the docstring, times c (N + m)
         tiny = np.finfo(float).smallest_subnormal
         return SCREEN_SLACK_FACTOR * size * (np.finfo(float).eps * s + size**2 * tiny)
 
-    rows = np.zeros(members.shape)
-    slack = np.full(len(members), np.inf)
     with np.errstate(all="ignore"):
-        if gram.ndim == 2:  # the diagonal of F^T F: no pass over N x m
-            norms = np.diagonal(gram)
-        else:
-            norms = np.sum(points * points, axis=0)
-        fro2 = np.sum(norms)
         if not np.isfinite(fro2 * size):  # a Gram sum may overflow
-            return rows, slack
+            return np.zeros(members.shape), np.full(len(members), np.inf)
         widths = np.count_nonzero(members, axis=1)
         t = np.minimum(k, widths)
-        if t.any():
-            lam, coef = _top_eigenpairs(points, gram, members, widths, int(t.max()))
-            coef[np.arange(coef.shape[1]) >= t[:, None]] = 0.0
-            coef *= coef
-            screened = np.maximum(norms - np.sum(coef, axis=1), 0.0)
-            pick = np.arange(len(members))
-            lam_t = lam[pick, t - 1]
-            gap = lam_t - np.maximum(lam[pick, t], 0.0)
-            order = widths if gram.ndim == 2 else n_rows  # the Gram's size
-            floor = gram_floor(lam[:, 0], order, np.maximum(n_rows, widths))
-            ok = (gap > 0) & (lam_t > floor) & np.all(np.isfinite(screened), axis=1)
-            trace = members.astype(float) @ norms
-            rows[ok] = screened[ok]
-            slack[ok] = bound(fro2) + fro2 * (bound(trace[ok]) / gap[ok])
-    flat = t == 0
-    rows[flat] = norms
-    slack[flat] = bound(fro2)
+        flat = t == 0
+        if flat.all():
+            return np.tile(norms, (len(members), 1)), np.full(len(members), bound(fro2))
+        top = int(t.max())
+        lam, coef = _top_eigenpairs(points, gram, members, widths, top)
+        if t.min() < top:
+            coef[np.arange(top) >= t[:, None]] = 0.0
+        coef *= coef
+        rows = np.maximum(norms - np.sum(coef, axis=1), 0.0)
+        pick = np.arange(len(members))
+        lam_t = lam[pick, t - 1]
+        gap = lam_t - np.maximum(lam[pick, t], 0.0)
+        order = widths if gram.ndim == 2 else n_rows  # the Gram's size
+        floor = gram_floor(lam[:, 0], order, np.maximum(n_rows, widths))
+        ok = (gap > 0) & (lam_t > floor) & np.all(np.isfinite(rows), axis=1)
+        trace = members.astype(float) @ norms
+        slack = bound(fro2) + fro2 * (bound(trace) / gap)
+        if not ok.all():
+            rows[~ok] = 0.0
+            slack[~ok] = np.inf
+    if flat.any():
+        rows[flat] = norms
+        slack[flat] = bound(fro2)
     return rows, slack
 
 

@@ -42,9 +42,10 @@ def residuals(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def nearest(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of an l x m distance table for every column, ties to
-    the lowest index, and the distance to it."""
-    labels = np.argmin(table, axis=0)
-    return labels, table[labels, np.arange(table.shape[1])]
+    the lowest index, and the distance to it: the column's least entry,
+    the same float as ``table[labels, arange(m)]`` wherever no column
+    holds both 0.0 and -0.0, which no table of squared distances does."""
+    return np.argmin(table, axis=0), np.min(table, axis=0)
 
 
 def dist2_to_subspace(point, subspace: Subspace) -> float:

@@ -27,6 +27,7 @@ from .fitting import (
     bundle_from_partition,
     gram_screen,
     partition_from_bundle,
+    squared_norms,
 )
 from .metrics import nearest
 from .model import SEED_MASK, Bundle, DataSet, Partition
@@ -36,13 +37,14 @@ DEFAULT_MAX_ITER = 100
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 # The oracle sizes its stacked arrays to at most this many floats per
-# thread.  A labeling's Gram screen stacks l Gram matrices of at most n^2
-# floats, n the order of the Gram matrix its groups' fits read (m, from
-# F^T F, where ``_reads_gram`` holds, else N), and l rows of (k + 1) m
-# floats (each point's coordinates on the top k eigenvectors, and its
-# screened residual), so a screened block holds at most
-# ORACLE_BATCH_FLOATS // (l (n^2 + (k + 1) m)) labelings, a number that
-# does not fall as N grows past m / l.
+# thread.  A labeling's Gram screen stacks its groups' Gram matrices: where
+# ``_reads_gram`` holds, their w x w blocks of F^T F, which hold
+# sum_g w_g^2 <= m^2 floats, else l matrices X X^T of N^2 floats; and l
+# rows of (k + 1) m floats (each point's coordinates on the top k
+# eigenvectors, and its screened residual).  So a screened block holds at
+# most ORACLE_BATCH_FLOATS // (m^2 + l (k + 1) m) labelings where the rule
+# holds, a number that does not fall as N grows past m / l, else
+# ORACLE_BATCH_FLOATS // (l (N^2 + (k + 1) m)).
 # Each thread takes an equal share of the canonical labelings, cut into as
 # few blocks as that cap allows; labelings within one thread's share of
 # the cap (the cap over the thread count) stay one block and start no
@@ -53,11 +55,11 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # peak memory flat for tall data: the tracemalloc peak of a one-thread
 # oracle stays within 2 * 8 * ORACLE_BATCH_FLOATS bytes, 4 MB, at N = 4,
 # 8, 20 and 1000 (tests/test_solver.py).
-# At N = 20, m = 12, l = 2, k = 1 the cap allows 780 labelings a block, so
-# the 2048 canonical labelings take 3 blocks of 683, 683 and 682 on one
-# thread and 4 blocks of 512 on two, and a chunk holds 546; at N = 4 they
-# take 2 blocks of 1024 on two threads.  A sweep over 2^16 .. 2^19
-# (BENCH_15.json) picked 2^18.
+# At N = 20, m = 12, l = 2, k = 1 the cap allows 1365 labelings a block,
+# so the 2048 canonical labelings take 2 blocks of 1024, on one thread or
+# on two, and a chunk holds 546; at N = 4 (X X^T) they take 2 blocks of
+# 1024 on two threads.  A sweep over 2^16 .. 2^19 (BENCH_15.json) picked
+# 2^18.
 ORACLE_BATCH_FLOATS = 1 << 18
 
 # solve_best_model runs restarts on threads only for data of at least this
@@ -107,19 +109,19 @@ class SolveReport:
 
 
 def _reseed_empty_groups(
-    labels: np.ndarray, dist2: np.ndarray, n_groups: int
+    labels: np.ndarray, dist2: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
-    """Move the worst-fit point into each empty group of a label array.
+    """Move the worst-fit point into each empty group of a label array
+    whose group sizes are ``sizes`` (``np.bincount(labels, minlength=l)``).
 
     Points are taken in descending residual order and never drained from a
     group that would become empty itself; ties break toward the lowest
     point index so the repair is deterministic.
     """
-    sizes = np.bincount(labels, minlength=n_groups)
     empties = np.flatnonzero(sizes == 0)
     if empties.size == 0:
         return labels
-    labels = labels.copy()
+    labels, sizes = labels.copy(), sizes.copy()
     order = np.argsort(-dist2, kind="stable")
     for target in empties:
         # A moved point sits alone in its new group, so it is never moved
@@ -163,7 +165,10 @@ def alternate_minimize(
     Inside the loop the groups whose members changed get their rows of
     the distance table, their Gram fits, from one ``fitting.gram_screen``
     call: from ``data.gram`` where ``_reads_gram`` holds, else from each
-    group's X X^T.  A row the screen does not trust is recomputed by the
+    group's X X^T.  What depends only on the data, the points' squared
+    norms and their sum (``fitting.squared_norms``), is computed once per
+    call, and each iteration counts the group sizes once, for its stop
+    check and its reseed.  A row the screen does not trust is recomputed by the
     SVD path, ``best_subspace_residuals``.  The labels fitted by the last
     iteration are then refitted once with the SVD
     (``bundle_from_partition``) and assigned once
@@ -191,6 +196,7 @@ def alternate_minimize(
 
     points = data.points
     gram = _fit_gram(data, n_subspaces)
+    norms = squared_norms(points, gram)
     groups = np.arange(n_subspaces)[:, None]
     table = np.empty((n_subspaces, data.count))
     slack = np.zeros(n_subspaces)  # the screen's slack on each row of table
@@ -203,20 +209,19 @@ def alternate_minimize(
         changed = np.any(members != fitted_members, axis=1)
         if changed.any():  # none when a reseed restores the last labels
             table[changed], slack[changed] = _group_rows(
-                points, gram, members[changed], max_dim
+                points, gram, members[changed], max_dim, norms
             )
         labels, dist2 = nearest(table)
         err = float(np.sum(dist2))
         errors.append(err)
+        sizes = np.bincount(labels, minlength=n_subspaces)
         # Only ``init`` can leave a group empty at a stable labeling; that
         # group is reseeded below instead of returned empty.
-        if np.array_equal(labels, fitted) and np.all(
-            np.bincount(labels, minlength=n_subspaces)
-        ):
+        if sizes.all() and np.array_equal(labels, fitted):
             break
         if len(errors) >= 2 and errors[-2] - err <= tol * max(errors[-2], 1e-300):
             break
-        labels = _reseed_empty_groups(labels, dist2, n_subspaces)
+        labels = _reseed_empty_groups(labels, dist2, sizes)
 
     partition = Partition(fitted, n_subspaces)
     bundle = None
@@ -239,14 +244,19 @@ def _fit_gram(data: DataSet, n_subspaces: int) -> np.ndarray | None:
     return data.gram if _reads_gram(data.count, data.ambient_dim, n_subspaces) else None
 
 
-def _group_rows(points, gram, members, k):
+def _group_rows(points, gram, members, k, norms):
     """Rows of alternating minimization's distance table for the groups
     ``members`` (B x m) selects, and their slacks: ``gram_screen``'s from
     ``gram``, or from each group's X X^T when ``gram`` is None, and the
-    SVD path's, with slack 0, where the screen's slack is infinite."""
+    SVD path's, with slack 0, where the screen's slack is infinite.
+    ``norms`` is ``squared_norms(points, gram)``."""
     if gram is None:
-        gram = np.stack([x @ x.T for x in (points[:, g] for g in members)])
-    rows, slack = gram_screen(points, gram, members, k)
+        n_rows = len(points)
+        gram = np.empty((len(members), n_rows, n_rows))
+        for g, out in zip(members, gram):
+            x = points[:, g]
+            np.matmul(x, x.T, out=out)
+    rows, slack = gram_screen(points, gram, members, k, norms)
     untrusted = np.isinf(slack)
     if untrusted.any():
         rows[untrusted] = best_subspace_residuals(points, members[untrusted], k)
@@ -416,13 +426,17 @@ def _oracle_plan(
 ) -> tuple[int, int, int]:
     """Labelings per screened block and per exactly scored chunk of
     ``brute_force_oracle``, and its thread count, by the rule of
-    ``ORACLE_BATCH_FLOATS``: a screened labeling holds l Gram matrices of
-    the order ``_reads_gram`` picks, each thread takes an equal share of
+    ``ORACLE_BATCH_FLOATS``: a screened labeling holds its groups' blocks
+    of F^T F where ``_reads_gram`` holds, at most m^2 floats, else l
+    N x N Gram matrices, each thread takes an equal share of
     the canonical labelings, cut into as few blocks as the cap allows, and
     labelings within one thread's share of the cap stay one block on the
     calling thread."""
-    order = count if _reads_gram(count, ambient_dim, n_groups) else ambient_dim
-    screened = n_groups * (order**2 + (max_dim + 1) * count)
+    rows = n_groups * (max_dim + 1) * count
+    if _reads_gram(count, ambient_dim, n_groups):
+        screened = count**2 + rows
+    else:
+        screened = n_groups * ambient_dim**2 + rows
     exact = n_groups * ambient_dim * count
     per_block = max(1, ORACLE_BATCH_FLOATS // screened)
     labelings = _canonical_count(count, n_groups)
@@ -592,6 +606,7 @@ def brute_force_oracle(
 
     points = data.points
     gram = _fit_gram(data, n_subspaces)
+    norms = squared_norms(points, gram)
     # Without F^T F, the outer products x_j x_j^T, whose masked sums are
     # the slices' X X^T.
     outer = None if gram is not None else (
@@ -611,7 +626,7 @@ def brute_force_oracle(
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
         grams = gram if outer is None else (
             members.astype(float) @ outer).reshape(len(members), data.ambient_dim, -1)
-        rows, slack = gram_screen(points, grams, members, max_dim)
+        rows, slack = gram_screen(points, grams, members, max_dim, norms)
         approx = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
         slack = np.sum(slack.reshape(shape[:2]), axis=1)
         with lock:

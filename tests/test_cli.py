@@ -423,6 +423,34 @@ def test_data_whose_squares_underflow_runs_as_its_unscaled_twin(tmp_path, capsys
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+@pytest.mark.parametrize("shift", [560, 520])
+def test_data_whose_squared_norm_underflows_exits_2(tmp_path, capsys, command,
+                                                    shift):
+    """4 x 8 points scaled by 2^-560 (||F||_F^2 is 0.0 as a float) or
+    2^-520 (subnormal): both commands refuse them with exit 2 and one line
+    that names --normalize, and with --normalize they print the unscaled
+    file's JSON."""
+    points = np.random.default_rng(0).normal(size=(4, 8))
+    plain, scaled = tmp_path / "plain.csv", tmp_path / "scaled.csv"
+    save_dataset(DataSet(points), plain)
+    save_dataset(DataSet(np.ldexp(points, -shift)), scaled)
+    args = ("--data", scaled, "-l", 2, "-k", 1)
+    capsys.readouterr()
+    assert run_cli(command, *args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the squared Frobenius norm")
+    assert "below the normal float range" in captured.err
+    assert "--normalize" in captured.err and captured.err.count("\n") == 1
+    outputs = []
+    for path in (plain, scaled):
+        assert run_cli(command, "--data", path, "-l", 2, "-k", 1, "--normalize") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["error"] > 0.0
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "unionfit.cli", "bounds", "--epsilon", "0.5"],

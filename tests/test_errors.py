@@ -112,3 +112,14 @@ def test_check_data_scale_refuses_a_squared_norm_past_the_float_range():
             check_data_scale(norm)
     with pytest.raises(InvalidSpec):
         check_data_scale(math.inf, error=InvalidSpec)
+
+
+def test_check_data_scale_refuses_a_squared_norm_below_the_normal_range():
+    """||F||_F = 2^-511 squares to the least normal float; any smaller
+    nonzero norm squares to a subnormal or to 0.0.  Zero data passes."""
+    least = math.ldexp(1.0, -511)
+    for norm in (0.0, least, 1e-150):
+        check_data_scale(norm)
+    for norm in (math.nextafter(least, 0.0), 1e-160, 5e-324):
+        with pytest.raises(OutOfRange, match="below the normal.*--normalize"):
+            check_data_scale(norm)

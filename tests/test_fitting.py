@@ -18,7 +18,7 @@ from unionfit import (
     partition_from_bundle,
 )
 from unionfit import solver
-from unionfit.fitting import best_subspace_residuals
+from unionfit.fitting import best_subspace_residuals, gram_screen, squared_norms
 from unionfit.metrics import residuals
 
 
@@ -67,6 +67,69 @@ def test_best_subspace_residuals_match_unbatched_fits():
             assert np.array_equal(row, expected)
 
 
+def screen_instance(form):
+    """Points with duplicated and zero columns, slices that are empty
+    (flat), rank 0 and rank 1 (untrusted at k >= 1 and k = 2), generic
+    and wider than N, and the Gram data of ``form``: F^T F, or the
+    slices' stacked X X^T as alternating minimization forms it."""
+    rng = np.random.default_rng(43)
+    pts = rng.normal(size=(5, 10))
+    pts[:, 1] = pts[:, 0]  # duplicated column
+    pts[:, [2, 7]] = 0.0  # zero columns
+    members = np.zeros((6, 10), dtype=bool)
+    members[1, [2, 7]] = True  # zero slice
+    members[2, [0, 1]] = True  # duplicated slice, rank 1
+    members[3, [3, 4, 5, 6]] = True
+    members[4, [3, 5, 8, 9]] = True
+    members[5] = True  # wider than N
+    if form == "F^T F":
+        return pts, DataSet(pts).gram, members
+    stack = np.empty((len(members), 5, 5))
+    for g, out in zip(members, stack):
+        x = pts[:, g]
+        np.matmul(x, x.T, out=out)
+    return pts, stack, members
+
+
+@pytest.mark.parametrize("form", ["F^T F", "X X^T"])
+def test_gram_screen_given_its_norms_returns_its_own_arrays(form):
+    """The squared norms and their sum, computed once per search, give the
+    arrays the screen computes from the same Gram data itself, on flat,
+    untrusted and trusted slices."""
+    pts, gram, members = screen_instance(form)
+    norms = squared_norms(pts, gram if gram.ndim == 2 else None)
+    own_norms = np.diagonal(gram) if gram.ndim == 2 else np.sum(pts * pts, axis=0)
+    assert np.array_equal(norms[0], own_norms)
+    assert norms[1] == np.sum(own_norms)
+    untrusted = 0
+    for k in range(4):  # k = 0: every slice is flat
+        own = gram_screen(pts, gram, members, k)
+        given = gram_screen(pts, gram, members, k, norms)
+        assert all(np.array_equal(a, b) for a, b in zip(own, given)), k
+        untrusted += np.count_nonzero(np.isinf(own[1]))
+        assert np.array_equal(own[0][0], norms[0]) and np.isfinite(own[1][0])
+    assert untrusted
+
+
+@pytest.mark.parametrize("form", ["F^T F", "X X^T"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_gram_screen_rows_do_not_depend_on_their_block(form, k):
+    """A block of trusted slices only, whose arrays the screen returns
+    with no masked copy, gives the rows that the same slices get in a
+    block with flat and untrusted ones.  (Their slacks may differ in the
+    last bits: each slice's trace is a row of one matrix-vector product
+    over the block.)"""
+    pts, gram, members = screen_instance(form)
+    norms = squared_norms(pts, gram if gram.ndim == 2 else None)
+    rows, slack = gram_screen(pts, gram, members, k, norms)
+    trusted = np.isfinite(slack) & members.any(axis=1)
+    assert np.isinf(slack).any() and not trusted[0] and trusted.sum() >= 2
+    alone = gram_screen(pts, gram if gram.ndim == 2 else gram[trusted],
+                        members[trusted], k, norms)
+    assert np.array_equal(alone[0], rows[trusted])
+    assert np.all(np.isfinite(alone[1]))
+
+
 @pytest.mark.parametrize("tall", [False, True], ids=["short", "tall"])
 def test_am_rows_match_svd_fit(tall):
     """Alternating minimization's rows, from the Gram kernel and its SVD
@@ -95,8 +158,9 @@ def test_am_rows_match_svd_fit(tall):
         members = (np.arange(points.shape[1]) < x.shape[1])[None, :]
         gram = DataSet(points).gram if tall else None
         scale = np.sum(points * points, axis=0)
+        norms = squared_norms(points, gram)
         for k in range(4):
-            ours, slack = solver._group_rows(points, gram, members, k)
+            ours, slack = solver._group_rows(points, gram, members, k, norms)
             theirs = best_subspace_residuals(points, members, k)
             assert np.all(ours >= 0), (name, k)
             assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
