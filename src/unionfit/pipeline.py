@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .solver import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_TOL,
     SolveReport,
+    _fit_gram,
+    _restart_workers,
     brute_force_oracle,
     solve_best_model,
     within_budget,
@@ -189,6 +192,15 @@ def ek_perturbation_check(
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 
 
+def _require_normalized(data: DataSet) -> None:
+    """The pipeline's precondition: ``data`` has unit Frobenius norm."""
+    if abs(data.frobenius_norm - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(
+            f"dataset has Frobenius norm {data.frobenius_norm!r}; "
+            "normalize it before reducing"
+        )
+
+
 def reduce_solve_lift(
     data: DataSet,
     spec: RandomSpec,
@@ -202,12 +214,18 @@ def reduce_solve_lift(
 ) -> LiftReport:
     """Sketch the data, solve for the best partition there, refit in full space.
 
-    ``data`` must have unit Frobenius norm.  The reduced instance is
-    solved by ``certify`` when l^m fits the configured budget, otherwise
-    by seeded multi-restart alternation (``solve``); :func:`lift` then
-    refits the partition.  Passing ``matrix`` bypasses sampling: tests
-    inject lossless embeddings.
+    ``data`` must have unit Frobenius norm, checked before anything else.
+    The reduced instance is solved by ``certify`` when l^m fits the
+    configured budget, otherwise by seeded multi-restart alternation
+    (``solve``); :func:`lift` then refits the partition.  Passing
+    ``matrix`` bypasses sampling: tests inject lossless embeddings.
+
+    A solve by restarts overlaps the lift when the full data would run
+    restarts on two threads (``solver._restart_workers``: at least
+    ``PARALLEL_MIN_FLOATS`` entries and a core BLAS leaves idle): see
+    :func:`_solve_and_lift`.  The report is bit-identical either way.
     """
+    _require_normalized(data)
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
     a = sample_matrix(spec) if matrix is None else np.asarray(matrix, dtype=float)
     shape = (spec.reduced_dim, spec.ambient_dim)
@@ -216,10 +234,59 @@ def reduce_solve_lift(
                                 f"act on points of dimension {data.ambient_dim}")
 
     reduced = DataSet(a @ data.points)
+    args = n_subspaces, max_dim, spec.reduced_dim, epsilon, e0
     report = cfg.certify(reduced, n_subspaces, max_dim)
-    if report is None:
-        report = cfg.solve(reduced, n_subspaces, max_dim)
-    return lift(data, report, n_subspaces, max_dim, spec.reduced_dim, epsilon, e0)
+    if report is not None:
+        return lift(data, report, *args)
+    if cfg.restarts >= 2 and _restart_workers(data.points.size, 2) == 2:
+        return _solve_and_lift(data, reduced, cfg, *args)
+    return lift(data, cfg.solve(reduced, n_subspaces, max_dim), *args)
+
+
+def _solve_and_lift(data: DataSet, reduced: DataSet, cfg: SolverConfig,
+                    n_subspaces: int, max_dim: int, *args) -> LiftReport:
+    """``lift(data, cfg.solve(reduced, ...))``, with the lift started before
+    the solve ends.
+
+    A helper thread runs the whole solve.  Meanwhile the calling thread
+    solves restart 0 alone, the same function on the same input, and lifts
+    its partition.  When the solve's partition equals that guess, the
+    lift of the guess is the lift of the winner, bit for bit, and it is
+    returned with the solve's own reduced partition, error and flag;
+    otherwise the winner is lifted after all, at the cost of one wasted
+    lift (restart 0's partition was the winner's in 194 of 240
+    ``sketch_heuristic`` calls).  The lift stays on the calling thread:
+    on the helper, its group SVDs and residual work arrays, the call's
+    largest, would grow the helper's own malloc arena, which the
+    sketch-space solve's small arrays keep small.  ``reduced.gram`` is
+    formed first, where the solve reads it, so the threads do not race
+    to form it.  An exception on either thread reaches the caller once
+    the helper has finished.
+    """
+    _fit_gram(reduced, n_subspaces)
+    solved = []  # the solve's report, or what it raised
+
+    def solve() -> None:
+        try:
+            solved.append(cfg.solve(reduced, n_subspaces, max_dim))
+        except BaseException as exc:  # raised again in the caller
+            solved.append(exc)
+
+    helper = threading.Thread(target=solve)
+    helper.start()
+    try:
+        first = replace(cfg, restarts=1).solve(reduced, n_subspaces, max_dim)
+        guessed = lift(data, first, n_subspaces, max_dim, *args)
+    finally:
+        helper.join()
+    report = solved[0]
+    if isinstance(report, BaseException):
+        raise report
+    if guessed.reduced_partition != report.partition:
+        return lift(data, report, n_subspaces, max_dim, *args)
+    return replace(guessed, reduced_partition=report.partition,
+                   reduced_error=report.error,
+                   reduced_certified_optimal=report.certified_optimal)
 
 
 def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
@@ -227,11 +294,7 @@ def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
     """Refit against unit-Frobenius ``data`` the partition that ``report``
     solved in an r-dim sketch of it; the bound is checked when both ``e0``
     and ``epsilon`` are given."""
-    if abs(data.frobenius_norm - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(
-            f"dataset has Frobenius norm {data.frobenius_norm!r}; "
-            "normalize it before reducing"
-        )
+    _require_normalized(data)
     lifted = bundle_from_partition(data, report.partition, max_dim)
     lifted_error = bundle_error(data, lifted)
     bound = satisfied = informative = None

@@ -1,4 +1,7 @@
 import math
+import threading
+from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from unionfit import (
     solve_best_model,
     theorem_bound,
 )
+from unionfit import pipeline, solver
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -198,6 +202,23 @@ def test_reduce_solve_lift_requires_normalized_data():
         reduce_solve_lift(data, spec, 2, 1)
 
 
+def test_normalization_is_checked_before_any_solve(monkeypatch):
+    """Unnormalized data is refused before the sketch is solved: the
+    reduce_solve_lift check runs first, and lift runs the same one."""
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the normalization check")
+
+    monkeypatch.setattr(SolverConfig, "solve", no_solve)
+    monkeypatch.setattr(SolverConfig, "certify", no_solve)
+    data = DataSet(np.random.default_rng(2).normal(size=(5, 6)))
+    spec = RandomSpec("gaussian", reduced_dim=3, ambient_dim=5, seed=1)
+    with pytest.raises(NotNormalized):
+        reduce_solve_lift(data, spec, 2, 1, SolverConfig(oracle_budget=1))
+    report = solve_best_model(normalize_dataset(data), 2, 1, restarts=2, seed=0)
+    with pytest.raises(NotNormalized):
+        pipeline.lift(data, report, 2, 1, 5, None, None)
+
+
 def test_reduce_solve_lift_shape_checks():
     data = normalize_dataset(DataSet(np.random.default_rng(3).normal(size=(5, 6))))
     with pytest.raises(DimensionMismatch):
@@ -273,3 +294,151 @@ def test_lifted_error_never_below_certified_optimum():
 def test_sampled_matrix_matches_spec_shape():
     spec = RandomSpec("gaussian", reduced_dim=4, ambient_dim=20, seed=5)
     assert sample_matrix(spec).shape == (4, 20)
+
+
+# reduce_solve_lift overlaps the lift with the sketch-space solve when the
+# full data has at least solver.PARALLEL_MIN_FLOATS entries and a core is
+# left idle by BLAS; 64 x 2048 points sit exactly at that floor.
+OVERLAP_DATA = SyntheticSpec(ambient_dim=64, n_subspaces=3, max_dim=2,
+                             n_points=2048, noise_sigma=0.05, seed=5)
+
+
+def use_cores(monkeypatch, cores):
+    """Give the process ``cores`` CPUs, with BLAS pinned to one thread."""
+    monkeypatch.setattr(solver, "_cores", lambda: cores)
+    for name in solver.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def count_lifts(monkeypatch):
+    """Count pipeline.lift calls; returns the running count in a list."""
+    calls = [0]
+    real = pipeline.lift
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "lift", counted)
+    return calls
+
+
+def assert_lift_reports_equal(ours, theirs):
+    """Every field of two lift reports, bit for bit."""
+    for f in fields(ours):
+        a, b = getattr(ours, f.name), getattr(theirs, f.name)
+        if f.name == "lifted_bundle":
+            assert a.cap_dim == b.cap_dim and len(a) == len(b)
+            for u, v in zip(a, b, strict=True):
+                assert u.basis.shape == v.basis.shape
+                assert u.basis.tobytes() == v.basis.tobytes()
+        elif f.name == "reduced_partition":
+            assert a == b and a.labels.tobytes() == b.labels.tobytes()
+        else:
+            assert a == b, f.name
+
+
+def both_paths(monkeypatch, data, spec, *args, **kwargs):
+    """reduce_solve_lift on the calling thread alone (one core), then on
+    two cores, where it overlaps the lift with the solve; returns the
+    sequential report, the overlapped one and the overlapped call's count
+    of lifts."""
+    use_cores(monkeypatch, 1)
+    sequential = reduce_solve_lift(data, spec, *args, **kwargs)
+    use_cores(monkeypatch, 2)
+    lifts = count_lifts(monkeypatch)
+    overlapped = reduce_solve_lift(data, spec, *args, **kwargs)
+    return sequential, overlapped, lifts[0]
+
+
+@pytest.mark.parametrize("seed, lifts", [(0, 1), (1, 2)])  # a hit, a miss
+def test_overlapped_lift_equals_the_sequential_one(monkeypatch, seed, lifts):
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    assert data.points.size >= solver.PARALLEL_MIN_FLOATS
+    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=seed)
+    cfg = SolverConfig(restarts=3, seed=seed)
+    sequential, overlapped, used = both_paths(
+        monkeypatch, data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    assert_lift_reports_equal(overlapped, sequential)
+    assert used == lifts  # the guess was kept, or the winner lifted again
+    assert sequential.bound_value is not None
+
+
+# Under stop_below 0.2 restart 0 (error 0.157) stops the solve and is the
+# winner; under 0.14 restart 1 (0.133) does, and the guess misses.
+@pytest.mark.parametrize("stop_below, lifts", [(0.2, 1), (0.14, 2)])
+def test_overlapped_lift_under_stop_below(monkeypatch, stop_below, lifts):
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=1)
+    cfg = SolverConfig(restarts=3, seed=1, stop_below=stop_below)
+    sequential, overlapped, used = both_paths(monkeypatch, data, spec, 3, 2, cfg)
+    assert_lift_reports_equal(overlapped, sequential)
+    assert used == lifts
+
+
+def test_overlapped_lift_forms_the_sketch_gram_once(monkeypatch):
+    """Where the sketch-space solve reads F^T F (m <= l r), both threads
+    would read DataSet.gram; it is formed once, before either solve
+    starts."""
+    data = normalize_dataset(DataSet(np.random.default_rng(8).normal(size=(400, 400))))
+    assert solver._reads_gram(400, 100, 4)
+    spec = RandomSpec("gaussian", reduced_dim=100, ambient_dim=400, seed=3)
+    events = []
+
+    def gram(self):
+        events.append("gram")
+        return self.points.T @ self.points
+
+    prop = cached_property(gram)
+    prop.__set_name__(DataSet, "gram")
+    monkeypatch.setattr(DataSet, "gram", prop)
+    real = SolverConfig.solve
+
+    def solve(self, *args):
+        events.append("solve")
+        return real(self, *args)
+
+    monkeypatch.setattr(SolverConfig, "solve", solve)
+    cfg = SolverConfig(restarts=2, seed=4, max_iter=5)
+    sequential, overlapped, _ = both_paths(monkeypatch, data, spec, 4, 2, cfg)
+    assert_lift_reports_equal(overlapped, sequential)
+    assert events == ["solve", "gram"] + ["gram", "solve", "solve"]
+
+
+@pytest.mark.parametrize("failing", [3, 1])  # the helper's solve, restart 0's
+def test_overlapped_lift_raises_and_leaves_no_thread(monkeypatch, failing):
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=0)
+    real = SolverConfig.solve
+
+    def solve(self, *args):
+        if self.restarts == failing:
+            raise RuntimeError(f"solve of {failing} restarts failed")
+        return real(self, *args)
+
+    monkeypatch.setattr(SolverConfig, "solve", solve)
+    use_cores(monkeypatch, 2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"solve of {failing} restarts"):
+        reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=3, seed=0))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores, restarts, floats", [
+    (2, 1, 0),  # one restart: nothing to overlap
+    (1, 3, 0),  # no idle core
+    (2, 3, 1),  # the full data one entry short of PARALLEL_MIN_FLOATS
+])
+def test_the_overlap_runs_only_where_its_gate_holds(monkeypatch, cores,
+                                                    restarts, floats):
+    def overlap(*args):
+        raise AssertionError("the lift overlapped the solve")
+
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=0)
+    monkeypatch.setattr(pipeline, "_solve_and_lift", overlap)
+    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size + floats)
+    use_cores(monkeypatch, cores)
+    report = reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=restarts))
+    assert not report.reduced_certified_optimal
