@@ -37,7 +37,7 @@ from .solver import (
     DEFAULT_TOL,
     SolveReport,
     _fit_gram,
-    _restart_workers,
+    _overlaps_lift,
     brute_force_oracle,
     solve_best_model,
     within_budget,
@@ -220,10 +220,10 @@ def reduce_solve_lift(
     (``solve``); :func:`lift` then refits the partition.  Passing
     ``matrix`` bypasses sampling: tests inject lossless embeddings.
 
-    A solve by restarts overlaps the lift when the full data would run
-    restarts on two threads (``solver._restart_workers``: at least
-    ``PARALLEL_MIN_FLOATS`` entries and a core BLAS leaves idle): see
-    :func:`_solve_and_lift`.  The report is bit-identical either way.
+    A solve by restarts overlaps the lift where ``solver._overlaps_lift``
+    holds (a core left idle by BLAS, a sketch solved on one thread, and a
+    lift and restarts long enough to pay): see :func:`_solve_and_lift`.
+    The report is bit-identical either way.
     """
     _require_normalized(data)
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -238,7 +238,7 @@ def reduce_solve_lift(
     report = cfg.certify(reduced, n_subspaces, max_dim)
     if report is not None:
         return lift(data, report, *args)
-    if cfg.restarts >= 2 and _restart_workers(data.points.size, 2) == 2:
+    if _overlaps_lift(data.points.size, reduced.points.size, cfg.restarts):
         return _solve_and_lift(data, reduced, cfg, *args)
     return lift(data, cfg.solve(reduced, n_subspaces, max_dim), *args)
 
@@ -254,8 +254,7 @@ def _solve_and_lift(data: DataSet, reduced: DataSet, cfg: SolverConfig,
     lift of the guess is the lift of the winner, bit for bit, and it is
     returned with the solve's own reduced partition, error and flag;
     otherwise the winner is lifted after all, at the cost of one wasted
-    lift (restart 0's partition was the winner's in 194 of 240
-    ``sketch_heuristic`` calls).  The lift stays on the calling thread:
+    lift.  The lift stays on the calling thread:
     on the helper, its group SVDs and residual work arrays, the call's
     largest, would grow the helper's own malloc arena, which the
     sketch-space solve's small arrays keep small.  ``reduced.gram`` is

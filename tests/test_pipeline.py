@@ -296,11 +296,18 @@ def test_sampled_matrix_matches_spec_shape():
     assert sample_matrix(spec).shape == (4, 20)
 
 
-# reduce_solve_lift overlaps the lift with the sketch-space solve when the
-# full data has at least solver.PARALLEL_MIN_FLOATS entries and a core is
-# left idle by BLAS; 64 x 2048 points sit exactly at that floor.
-OVERLAP_DATA = SyntheticSpec(ambient_dim=64, n_subspaces=3, max_dim=2,
+# reduce_solve_lift overlaps the lift with the sketch-space solve where
+# solver._overlaps_lift holds.  128 x 2048 points, sketched to r = 16 and
+# solved by 5 restarts, sit exactly at both of its floors: 2 *
+# PARALLEL_MIN_FLOATS full entries, and PARALLEL_MIN_FLOATS sketch entries
+# in the 4 restarts past the first.
+OVERLAP_DATA = SyntheticSpec(ambient_dim=128, n_subspaces=3, max_dim=2,
                              n_points=2048, noise_sigma=0.05, seed=5)
+OVERLAP_R, OVERLAP_RESTARTS = 16, 5
+
+
+def overlap_sketch(seed):
+    return RandomSpec("gaussian", reduced_dim=OVERLAP_R, ambient_dim=128, seed=seed)
 
 
 def use_cores(monkeypatch, cores):
@@ -352,12 +359,12 @@ def both_paths(monkeypatch, data, spec, *args, **kwargs):
     return sequential, overlapped, lifts[0]
 
 
-@pytest.mark.parametrize("seed, lifts", [(0, 1), (1, 2)])  # a hit, a miss
+@pytest.mark.parametrize("seed, lifts", [(2, 1), (1, 2)])  # a hit, a miss
 def test_overlapped_lift_equals_the_sequential_one(monkeypatch, seed, lifts):
     data, _ = generate_synthetic(OVERLAP_DATA)
-    assert data.points.size >= solver.PARALLEL_MIN_FLOATS
-    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=seed)
-    cfg = SolverConfig(restarts=3, seed=seed)
+    assert data.points.size == 2 * solver.PARALLEL_MIN_FLOATS
+    spec = overlap_sketch(seed)
+    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=seed)
     sequential, overlapped, used = both_paths(
         monkeypatch, data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
     assert_lift_reports_equal(overlapped, sequential)
@@ -365,13 +372,13 @@ def test_overlapped_lift_equals_the_sequential_one(monkeypatch, seed, lifts):
     assert sequential.bound_value is not None
 
 
-# Under stop_below 0.2 restart 0 (error 0.157) stops the solve and is the
-# winner; under 0.14 restart 1 (0.133) does, and the guess misses.
-@pytest.mark.parametrize("stop_below, lifts", [(0.2, 1), (0.14, 2)])
+# Under stop_below 0.23 restart 0 (error 0.223) stops the solve and is the
+# winner; under 0.15 restart 2 (0.118) does, and the guess misses.
+@pytest.mark.parametrize("stop_below, lifts", [(0.23, 1), (0.15, 2)])
 def test_overlapped_lift_under_stop_below(monkeypatch, stop_below, lifts):
     data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=1)
-    cfg = SolverConfig(restarts=3, seed=1, stop_below=stop_below)
+    spec = overlap_sketch(1)
+    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=1, stop_below=stop_below)
     sequential, overlapped, used = both_paths(monkeypatch, data, spec, 3, 2, cfg)
     assert_lift_reports_equal(overlapped, sequential)
     assert used == lifts
@@ -381,9 +388,9 @@ def test_overlapped_lift_forms_the_sketch_gram_once(monkeypatch):
     """Where the sketch-space solve reads F^T F (m <= l r), both threads
     would read DataSet.gram; it is formed once, before either solve
     starts."""
-    data = normalize_dataset(DataSet(np.random.default_rng(8).normal(size=(400, 400))))
+    data = normalize_dataset(DataSet(np.random.default_rng(8).normal(size=(700, 400))))
     assert solver._reads_gram(400, 100, 4)
-    spec = RandomSpec("gaussian", reduced_dim=100, ambient_dim=400, seed=3)
+    spec = RandomSpec("gaussian", reduced_dim=100, ambient_dim=700, seed=3)
     events = []
 
     def gram(self):
@@ -400,16 +407,16 @@ def test_overlapped_lift_forms_the_sketch_gram_once(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(SolverConfig, "solve", solve)
-    cfg = SolverConfig(restarts=2, seed=4, max_iter=5)
+    cfg = SolverConfig(restarts=5, seed=4, max_iter=5)
     sequential, overlapped, _ = both_paths(monkeypatch, data, spec, 4, 2, cfg)
     assert_lift_reports_equal(overlapped, sequential)
     assert events == ["solve", "gram"] + ["gram", "solve", "solve"]
 
 
-@pytest.mark.parametrize("failing", [3, 1])  # the helper's solve, restart 0's
+@pytest.mark.parametrize("failing", [OVERLAP_RESTARTS, 1])  # the helper's, restart 0's
 def test_overlapped_lift_raises_and_leaves_no_thread(monkeypatch, failing):
     data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=0)
+    spec = overlap_sketch(0)
     real = SolverConfig.solve
 
     def solve(self, *args):
@@ -421,24 +428,38 @@ def test_overlapped_lift_raises_and_leaves_no_thread(monkeypatch, failing):
     use_cores(monkeypatch, 2)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"solve of {failing} restarts"):
-        reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=3, seed=0))
+        reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=OVERLAP_RESTARTS, seed=0))
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("cores, restarts, floats", [
-    (2, 1, 0),  # one restart: nothing to overlap
-    (1, 3, 0),  # no idle core
-    (2, 3, 1),  # the full data one entry short of PARALLEL_MIN_FLOATS
+FLOOR = solver.PARALLEL_MIN_FLOATS
+
+
+@pytest.mark.parametrize("cores, full, sketch, restarts, overlaps", [
+    (2, 2 * FLOOR, FLOOR // 4, 5, True),  # OVERLAP_DATA's shape, at both floors
+    (2, 2 * FLOOR - 1, FLOOR // 4, 5, False),  # the full data one entry short
+    (2, 2 * FLOOR, FLOOR // 4, 4, False),  # restarts past the first too short
+    (2, 2 * FLOOR, FLOOR // 4, 1, False),  # one restart: nothing to overlap
+    (1, 2 * FLOOR, FLOOR // 4, 5, False),  # no idle core
+    (2, 400_000, 200_000, 5, False),  # the sketch solve threads its restarts
 ])
-def test_the_overlap_runs_only_where_its_gate_holds(monkeypatch, cores,
-                                                    restarts, floats):
+def test_overlap_gate(monkeypatch, cores, full, sketch, restarts, overlaps):
+    use_cores(monkeypatch, cores)
+    assert solver._overlaps_lift(full, sketch, restarts) is overlaps
+
+
+@pytest.mark.parametrize("cores, r, restarts", [
+    (2, OVERLAP_R, 4),  # restarts past the first one entry short of the floor
+    (1, OVERLAP_R, OVERLAP_RESTARTS),  # no idle core
+    (2, 64, OVERLAP_RESTARTS),  # the sketch, 64 x 2048, reaches the floor
+])
+def test_the_overlap_runs_only_where_its_gate_holds(monkeypatch, cores, r, restarts):
     def overlap(*args):
         raise AssertionError("the lift overlapped the solve")
 
     data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = RandomSpec("gaussian", reduced_dim=8, ambient_dim=64, seed=0)
+    spec = RandomSpec("gaussian", reduced_dim=r, ambient_dim=128, seed=0)
     monkeypatch.setattr(pipeline, "_solve_and_lift", overlap)
-    monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size + floats)
     use_cores(monkeypatch, cores)
     report = reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=restarts))
     assert not report.reduced_certified_optimal
