@@ -89,12 +89,14 @@ def run_trial(
     reduction: ReductionConfig,
     solver_cfg: SolverConfig,
     sketch_seed: int,
+    certify=None,
 ) -> LiftReport:
     """One sketch/solve/lift trial on unit-Frobenius ``data``.
 
     r and the bound epsilon come from ``reduction`` (fixed r, or the
     closed-form minimum for (eta, delta)) before any solve, and e0 from
-    ``solver_cfg.certify`` (None past the oracle budget).  A derived r of
+    ``solver_cfg.certify`` (None past the oracle budget), or from
+    ``certify``, called the same way, when one is given.  A derived r of
     at least N would sketch by the identity, so the full-space report
     (certified, else one ``solver_cfg.solve``) is lifted as the reduced
     one, and r reads N.
@@ -108,7 +110,7 @@ def run_trial(
         )
         epsilon = eta_admissibility_epsilon(reduction.eta, n_subspaces, d, max_dim)
 
-    certified = solver_cfg.certify(data, n_subspaces, max_dim)
+    certified = (certify or solver_cfg.certify)(data, n_subspaces, max_dim)
     e0 = None if certified is None else certified.error
     if reduction.r is None and r >= data.ambient_dim:
         report = certified or solver_cfg.solve(data, n_subspaces, max_dim)
@@ -277,9 +279,24 @@ def _trial_dataset(cfg: ExperimentConfig, trial: int, file_data) -> DataSet:
     return file_data
 
 
+def _certify_once(solver_cfg: SolverConfig):
+    """``solver_cfg.certify`` run on its first call only, whose report every
+    later call returns: every trial of a file experiment certifies the same
+    data, and the oracle reads no seed."""
+    reports = []
+
+    def certify(data: DataSet, n_subspaces: int, max_dim: int):
+        if not reports:
+            reports.append(solver_cfg.certify(data, n_subspaces, max_dim))
+        return reports[0]
+
+    return certify
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured trials; returns rows, summary, and an exit code.
 
+    A file dataset is certified (its ``e0``) once, for every trial.
     The exit code is 1 only when a hard internal invariant failed
     (non-finite or inconsistent errors, or a lifted error below e0 or
     above ||F||_F^2, the error of any bundle at 0), never for a violated
@@ -296,6 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             load_dataset(cfg.dataset_file, header=cfg.file_header)
         )
         _check_dims(cfg, file_data.count, file_data.ambient_dim)
+    certify = None if file_data is None else _certify_once(cfg.solver)
 
     rows: list[dict] = []
     per_trial_seconds: list[float] = []
@@ -314,6 +332,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cfg.reduction,
             replace(cfg.solver, seed=derive_seed(cfg.master_seed, trial, 2)),
             sketch_seed=derive_seed(cfg.master_seed, trial, 1),
+            certify=certify,
         )
 
         recomputed = bundle_error(data, report.lifted_bundle)

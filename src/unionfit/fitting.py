@@ -222,14 +222,23 @@ def _top_eigenpairs(points, gram, members, widths, top):
 
 
 def bundle_from_partition(data: DataSet, partition: Partition, k: int) -> Bundle:
-    """Fit the best rank-<=k subspace to each group; empty groups map to {0}."""
+    """Fit the best rank-<=k subspace to each group; empty groups map to {0}.
+
+    Each distinct (k, group) of ``data`` is fitted once, by
+    ``best_subspace``, and read from ``data.fits`` afterwards: the key is
+    the group's membership, not its label, so a relabeled partition runs
+    no SVD.  A memoized fit is the same Subspace the SVD returned, so the
+    bundle is bit-identical to a fresh fit's.
+    """
     if partition.count != data.count:
         raise InvalidPartition(
             f"partition covers {partition.count} points, dataset has {data.count}"
         )
+    masks = partition.labels == np.arange(partition.n_groups)[:, None]
     subspaces = tuple(
-        best_subspace(data.points[:, partition.labels == g], k)
-        for g in range(partition.n_groups)
+        data.fits.get(k, np.packbits(mask).tobytes(),
+                      lambda mask=mask: best_subspace(data.points[:, mask], k))
+        for mask in masks
     )
     return Bundle(subspaces, cap_dim=k)
 

@@ -6,6 +6,8 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +31,10 @@ ORTHO_TOL = 1e-10
 
 # Seeds are reduced to 64 bits before they key a random generator.
 SEED_MASK = (1 << 64) - 1
+
+# A DataSet's FitMemo holds at most this many floats (2 MiB) of fitted
+# bases and keys: about 410 rank-3 fits of groups of 2000 points in R^200.
+FIT_MEMO_FLOATS = 1 << 18
 
 
 def rank_from_singular_values(sigma: np.ndarray, shape: tuple[int, int]):
@@ -79,14 +85,69 @@ def _frobenius_norm(points: np.ndarray) -> float:
     return norm
 
 
+class FitMemo:
+    """Subspaces fitted to the column groups of one DataSet, each computed
+    once.
+
+    ``get(k, group, fit)`` returns the rank-<=k fit stored for ``group``
+    (a packed membership mask), or calls ``fit()`` and stores its result.
+    An entry is charged its basis's floats plus its mask's bytes in
+    floats; past FIT_MEMO_FLOATS the least recently used entries are
+    dropped, so ``held`` never exceeds ``limit``.  ``hits`` counts the
+    fits returned from the memo and ``misses`` those computed for it.
+    Safe under threads: the map and the counts are read and written under
+    a lock and a fit runs outside it, so two threads that miss one key both
+    fit it and both get the first result stored.
+    """
+
+    def __init__(self):
+        self.limit = FIT_MEMO_FLOATS
+        self.held = self.hits = self.misses = 0
+        self._entries: OrderedDict[tuple[int, bytes], Subspace] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def _cost(key: tuple[int, bytes], subspace: Subspace) -> int:
+        return subspace.basis.size + -(-len(key[1]) // 8)
+
+    def get(self, k: int, group: bytes, fit) -> Subspace:
+        key = (k, group)
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return found
+        fitted = fit()
+        with self._lock:
+            self.misses += 1
+            found = self._entries.setdefault(key, fitted)
+            if found is fitted:
+                self.held += self._cost(key, fitted)
+                while self.held > self.limit:
+                    self.held -= self._cost(*self._entries.popitem(last=False))
+        return found
+
+
 @dataclass(frozen=True)
 class DataSet:
     """m column points in R^N, stored in C order whatever the input's layout
     (so equal points give equal results), with cached norm, rank and Gram
-    matrix."""
+    matrix, and a memo of group fits (``fits``).
+
+    ``fitting.bundle_from_partition`` fits each distinct (k, group) of a
+    DataSet once: sketches of one dataset recover the same groups, mostly
+    under other labels, so its later lifts mostly read ``fits``.  The memo
+    lives and dies with the DataSet and never changes a result, since a
+    fit depends only on the points, the group and k.
+    """
 
     points: np.ndarray
     frobenius_norm: float = field(init=False)
+    fits: FitMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, order="C")
@@ -101,6 +162,7 @@ class DataSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "frobenius_norm", _frobenius_norm(pts))
+        object.__setattr__(self, "fits", FitMemo())
 
     @cached_property
     def numerical_rank(self) -> int:

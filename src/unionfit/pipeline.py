@@ -222,8 +222,11 @@ def reduce_solve_lift(
 
     A solve by restarts overlaps the lift where ``solver._overlaps_lift``
     holds (a core left idle by BLAS, a sketch solved on one thread, and a
-    lift and restarts long enough to pay): see :func:`_solve_and_lift`.
-    The report is bit-identical either way.
+    lift and restarts long enough to pay) and ``data.fits`` has computed
+    at least as many group fits as it returned: see :func:`_solve_and_lift`.
+    Once most fits of ``data`` are memo hits, its lift is mostly hits too,
+    and the overlap would only add its contention for the interpreter
+    lock.  The report is bit-identical either way.
     """
     _require_normalized(data)
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -238,7 +241,10 @@ def reduce_solve_lift(
     report = cfg.certify(reduced, n_subspaces, max_dim)
     if report is not None:
         return lift(data, report, *args)
-    if _overlaps_lift(data.points.size, reduced.points.size, cfg.restarts):
+    # A dataset whose fits mostly came from its memo will likely lift from
+    # it again, too quickly for the overlap to pay.
+    if (_overlaps_lift(data.points.size, reduced.points.size, cfg.restarts)
+            and data.fits.hits <= data.fits.misses):
         return _solve_and_lift(data, reduced, cfg, *args)
     return lift(data, cfg.solve(reduced, n_subspaces, max_dim), *args)
 
@@ -253,10 +259,12 @@ def _solve_and_lift(data: DataSet, reduced: DataSet, cfg: SolverConfig,
     its partition.  When the solve's partition equals that guess, the
     lift of the guess is the lift of the winner, bit for bit, and it is
     returned with the solve's own reduced partition, error and flag;
-    otherwise the winner is lifted after all, at the cost of one wasted
-    lift.  The lift stays on the calling thread:
-    on the helper, its group SVDs and residual work arrays, the call's
-    largest, would grow the helper's own malloc arena, which the
+    otherwise the winner is lifted after all.  That lift reads from
+    ``data.fits`` every group the guess shares with the winner (all of
+    them when the two differ only by labels), so a missed guess costs
+    mostly memo hits and one error pass.  The lift stays on the calling
+    thread: on the helper, its group SVDs and residual work arrays, the
+    call's largest, would grow the helper's own malloc arena, which the
     sketch-space solve's small arrays keep small.  ``reduced.gram`` is
     formed first, where the solve reads it, so the threads do not race
     to form it.  An exception on either thread reaches the caller once

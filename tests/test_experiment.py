@@ -155,6 +155,35 @@ def test_file_dataset_config(tmp_path):
     assert result.rows[0]["e0"] == result.rows[1]["e0"]
 
 
+def test_file_experiment_certifies_its_data_once(tmp_path, monkeypatch):
+    """Every trial of a file experiment certifies the same data, so the
+    full-space oracle runs once for all three trials, and the rows are
+    those of three run_trial calls that each certify it."""
+    import unionfit.pipeline as pipe
+
+    real = pipe.brute_force_oracle
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].ambient_dim)
+        return real(*args, **kwargs)
+
+    path = tmp_path / "data.csv"
+    save_dataset(DataSet(np.random.default_rng(5).normal(size=(6, 7))), path)
+    cfg = replace(small_config(trials=3), synthetic=None, dataset_file=str(path))
+    expected = []
+    data = normalize_dataset(load_dataset(path))
+    for trial in range(3):
+        report = run_trial(data, 2, 1, cfg.reduction,
+                           replace(cfg.solver, seed=derive_seed(99, trial, 2)),
+                           sketch_seed=derive_seed(99, trial, 1))
+        expected.append({"trial": trial, **{f: getattr(report, f) for f in ROW_FIELDS[1:]}})
+    monkeypatch.setattr(pipe, "brute_force_oracle", counted)
+    result = run_experiment(cfg)
+    assert runs.count(6) == 1 and runs.count(3) == 3  # full space once, sketches each
+    assert rows_to_csv_text(result.rows) == rows_to_csv_text(expected)
+
+
 def test_path_config_writes_the_summary_of_its_str_twin(tmp_path):
     """pathlib.Path values for the dataset and the outputs are echoed as
     strings, and the summary is that of the same paths given as str,

@@ -1,5 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unionfit import (
     Bundle,
@@ -17,7 +23,7 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
-from unionfit import solver
+from unionfit import OutOfRange, fitting, model, solver
 from unionfit.fitting import best_subspace_residuals, gram_screen, squared_norms
 from unionfit.metrics import residuals
 
@@ -242,6 +248,138 @@ def test_bundle_from_partition_matches_per_group_svd():
         group_error(pts[:, list(g)], v) for g, v in zip(part.groups, bundle)
     )
     assert fit_error == pytest.approx(total, abs=1e-9)
+
+
+def bases(bundle):
+    return [(v.basis.shape, v.basis.tobytes()) for v in bundle]
+
+
+@st.composite
+def memo_instance(draw):
+    """Integer-valued points, so low-rank groups and k >= rank are common;
+    columns drawn with repeats duplicate points; a labeling in which any
+    group may be empty, and a relabeling of it."""
+    n, m, l = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    base = draw(arrays(float, (n, m), elements=st.integers(-3, 3).map(float)))
+    cols = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    labels = np.array(draw(st.lists(st.integers(0, l - 1), min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(l))))
+    return base[:, cols], labels, perm, draw(st.integers(0, n + 1))
+
+
+@given(memo_instance())
+def test_memoized_fits_equal_a_fresh_datasets_bit_for_bit(instance):
+    """A DataSet that has fitted a partition, and then a relabeling of it,
+    returns the bases a fresh DataSet fits, byte for byte; the relabeled
+    bundle holds the very Subspaces of the first one."""
+    points, labels, perm, k = instance
+    l = len(perm)
+    warm = DataSet(points)
+    first = bundle_from_partition(warm, Partition(labels, l), k)
+    relabeled = Partition(perm[labels], l)
+    again = bundle_from_partition(warm, relabeled, k)
+    assert all(again.subspaces[perm[g]] is first.subspaces[g] for g in range(l))
+    assert bases(again) == bases(bundle_from_partition(DataSet(points), relabeled, k))
+    assert bases(first) == bases(bundle_from_partition(DataSet(points), Partition(labels, l), k))
+
+
+def count_svds(monkeypatch):
+    """Record the shape of every fitting.svd_basis call."""
+    shapes = []
+    real = fitting.svd_basis
+
+    def counted(a, k):
+        shapes.append(a.shape)
+        return real(a, k)
+
+    monkeypatch.setattr(fitting, "svd_basis", counted)
+    return shapes
+
+
+def test_a_relabeled_partition_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    data = DataSet(rng.normal(size=(5, 12)))
+    labels = rng.integers(0, 3, size=12)
+    first = bundle_from_partition(data, Partition(labels, 3), 2)
+    svds = count_svds(monkeypatch)
+    perm = np.array([2, 0, 1])
+    again = bundle_from_partition(data, Partition(perm[labels], 3), 2)
+    assert svds == []
+    assert (data.fits.hits, data.fits.misses) == (3, 3)
+    assert all(again.subspaces[perm[g]] is first.subspaces[g] for g in range(3))
+    bundle_from_partition(data, Partition(labels, 3), 1)  # k is part of the key
+    assert len(svds) == 3
+    with pytest.raises(OutOfRange):  # a float k raises, though 2.0 == 2 in a key
+        bundle_from_partition(data, Partition(labels, 3), 2.0)
+
+
+def test_the_fit_memo_stays_within_its_float_bound(monkeypatch):
+    """A stream of distinct groups fills the memo to its bound and no
+    further, dropping the least recently used fits; a fit larger than the
+    bound is returned but not kept."""
+    monkeypatch.setattr(model, "FIT_MEMO_FLOATS", 60)
+    data = DataSet(np.random.default_rng(4).normal(size=(4, 40)))
+    assert data.fits.limit == 60
+    for j in range(40):  # groups {j} and all but j: 4 + 1 and 8 + 1 floats
+        part = Partition((np.arange(40) == j).astype(int), 2)
+        bundle_from_partition(data, part, 2)
+        assert data.fits.held == 14 * min(j + 1, 4) <= 60
+    svds = count_svds(monkeypatch)
+    bundle_from_partition(data, part, 2)  # the latest fits are kept
+    assert svds == []
+    small = DataSet(data.points)
+    monkeypatch.setattr(model, "FIT_MEMO_FLOATS", 5)
+    tight = DataSet(data.points)
+    assert bases(bundle_from_partition(tight, part, 2)) == bases(
+        bundle_from_partition(small, part, 2))
+    assert (len(tight.fits), tight.fits.held) == (1, 5)  # only the 4 + 1 float fit
+
+
+@pytest.mark.parametrize("limit", [model.FIT_MEMO_FLOATS, 300], ids=["roomy", "evicting"])
+def test_threads_sharing_a_dataset_get_identical_bundles(monkeypatch, limit):
+    """Eight threads fit partitions and relabelings of them on one DataSet,
+    the interpreter switching threads every microsecond: each gets the
+    bundles fresh DataSets fit, nothing raises, every lookup is counted as
+    a hit or a miss, and the memo holds what it charged for: every
+    distinct group once when it has room, and at most 3 fits of 94 floats
+    when it evicts on almost every miss."""
+    rng = np.random.default_rng(6)
+    points = rng.normal(size=(30, 200))
+    monkeypatch.setattr(model, "FIT_MEMO_FLOATS", limit)
+    data = DataSet(points)
+    partitions = []
+    for _ in range(4):
+        labels = rng.integers(0, 4, size=200)
+        partitions += [Partition(labels, 4), Partition((labels + 1) % 4, 4)]
+    expected = [bases(bundle_from_partition(DataSet(points), p, 3)) for p in partitions]
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(16 * len(partitions)):
+                j = (i + offset) % len(partitions)
+                if bases(bundle_from_partition(data, partitions[j], 3)) != expected[j]:
+                    failures.append(j)
+        except Exception as exc:  # reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    # Each fit is a 90-float basis and a 25-byte key; relabelings add none.
+    assert data.fits.held == 94 * len(data.fits) <= limit
+    assert len(data.fits) == (16 if limit > 16 * 94 else 3)
+    assert data.fits.hits + data.fits.misses == 8 * 16 * len(partitions) * 4
+    assert data.fits.misses >= 16
 
 
 def test_partition_from_bundle_axis_data():

@@ -25,7 +25,7 @@ from unionfit import (
     solve_best_model,
     theorem_bound,
 )
-from unionfit import pipeline, solver
+from unionfit import fitting, pipeline, solver
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -348,14 +348,15 @@ def assert_lift_reports_equal(ours, theirs):
 
 def both_paths(monkeypatch, data, spec, *args, **kwargs):
     """reduce_solve_lift on the calling thread alone (one core), then on
-    two cores, where it overlaps the lift with the solve; returns the
-    sequential report, the overlapped one and the overlapped call's count
-    of lifts."""
+    two cores, where it overlaps the lift with the solve, each on its own
+    copy of ``data``, so that neither reads group fits the other
+    memoized; returns the sequential report, the overlapped one and the
+    overlapped call's count of lifts."""
     use_cores(monkeypatch, 1)
-    sequential = reduce_solve_lift(data, spec, *args, **kwargs)
+    sequential = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
     use_cores(monkeypatch, 2)
     lifts = count_lifts(monkeypatch)
-    overlapped = reduce_solve_lift(data, spec, *args, **kwargs)
+    overlapped = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
     return sequential, overlapped, lifts[0]
 
 
@@ -382,6 +383,55 @@ def test_overlapped_lift_under_stop_below(monkeypatch, stop_below, lifts):
     sequential, overlapped, used = both_paths(monkeypatch, data, spec, 3, 2, cfg)
     assert_lift_reports_equal(overlapped, sequential)
     assert used == lifts
+
+
+@pytest.mark.parametrize("cores, seed, lifts", [(2, 2, 1), (2, 1, 2), (1, 1, 1)],
+                         ids=["hit", "miss", "sequential"])
+def test_a_warm_dataset_lifts_as_a_fresh_one(monkeypatch, cores, seed, lifts):
+    """A second reduce_solve_lift on one DataSet reads every full-space
+    group fit from the memo the first call filled, and its report equals
+    that of a fresh DataSet field for field: on the overlapped path when
+    the guess is kept and when the winner is lifted again, and on the
+    sequential path."""
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    spec = overlap_sketch(seed)
+    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=seed)
+    use_cores(monkeypatch, cores)
+    fresh = reduce_solve_lift(DataSet(data.points), spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    reduce_solve_lift(data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    svd_shapes = []
+    real = fitting.svd_basis
+    monkeypatch.setattr(fitting, "svd_basis",
+                        lambda a, k: svd_shapes.append(a.shape) or real(a, k))
+    used = count_lifts(monkeypatch)
+    warm = reduce_solve_lift(data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    assert_lift_reports_equal(warm, fresh)
+    assert used[0] == lifts
+    assert [s for s in svd_shapes if s[-2] == OVERLAP_DATA.ambient_dim] == []
+
+
+def test_a_dataset_lifted_mostly_from_its_memo_skips_the_overlap(monkeypatch):
+    """Once more of a dataset's group fits came from its memo than were
+    computed for it, its lifts are mostly memo hits, and reduce_solve_lift
+    takes the sequential path, with the report of a fresh dataset."""
+    data, _ = generate_synthetic(OVERLAP_DATA)
+    spec = overlap_sketch(2)
+    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=2)
+    use_cores(monkeypatch, 2)
+    fresh = reduce_solve_lift(DataSet(data.points), spec, 3, 2, cfg)
+    overlapped = []
+    real = pipeline._solve_and_lift
+
+    def counted(*args):
+        overlapped.append((args[0].fits.hits, args[0].fits.misses))
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "_solve_and_lift", counted)
+    for _ in range(4):
+        assert_lift_reports_equal(reduce_solve_lift(data, spec, 3, 2, cfg), fresh)
+    # The guess hits at this seed, so each call lifts 3 groups once.
+    assert overlapped == [(0, 0), (0, 3), (3, 3)]
+    assert (data.fits.hits, data.fits.misses) == (9, 3)
 
 
 def test_overlapped_lift_forms_the_sketch_gram_once(monkeypatch):

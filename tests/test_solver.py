@@ -793,7 +793,8 @@ def assert_reports_equal(ours, theirs):
 
 
 def solve_sequential_and_threaded(monkeypatch, data, *args, **kwargs):
-    """solve_best_model on one thread, then forced onto two threads;
+    """solve_best_model on one thread, then forced onto two threads, on a
+    copy of ``data`` that shares no memoized fit with the first run;
     returns both reports."""
     pin_blas(monkeypatch)
     monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size + 1)
@@ -807,7 +808,7 @@ def solve_sequential_and_threaded(monkeypatch, data, *args, **kwargs):
 
     monkeypatch.setattr(solver, "_run_threaded", counted)
     monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", data.points.size)
-    threaded = solve_best_model(data, *args, **kwargs)
+    threaded = solve_best_model(DataSet(data.points), *args, **kwargs)
     assert threaded_runs == [2]
     return sequential, threaded
 
@@ -1119,7 +1120,8 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
                                before_threads=lambda: None):
     """brute_force_oracle on one thread at the default block size, then,
     after ``before_threads()``, on two threads at a cap of ``per_block``
-    labelings a screened block; returns both reports.  The cap is the
+    labelings a screened block, on a copy of ``data`` that shares no
+    memoized fit with the first run; returns both reports.  The cap is the
     least ``ORACLE_BATCH_FLOATS`` that gives ``per_block``
     (``set_block_cap``).  The enumeration must hold more than ``per_block``
     canonical labelings."""
@@ -1149,7 +1151,7 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
     monkeypatch.setattr(solver, "_run_threaded", counted)
     monkeypatch.setattr(solver, "gram_screen", screen_sized)
     monkeypatch.setattr(solver, "best_subspace_residuals", score_sized)
-    threaded = brute_force_oracle(data, n_groups, k)
+    threaded = brute_force_oracle(DataSet(data.points), n_groups, k)
     assert workers == [2]
     # The floats in flight: blocks of ``size`` labelings within the cap,
     # the last one possibly shorter, at least one per thread, and the exact
