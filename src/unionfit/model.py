@@ -106,9 +106,6 @@ class FitMemo:
         self._entries: OrderedDict[tuple[int, bytes], Subspace] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @staticmethod
     def _cost(key: tuple[int, bytes], subspace: Subspace) -> int:
         return subspace.basis.size + -(-len(key[1]) // 8)
