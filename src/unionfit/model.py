@@ -93,18 +93,21 @@ class FitMemo:
     (a packed membership mask), or calls ``fit()`` and stores its result.
     An entry is charged its basis's floats plus its mask's bytes in
     floats; past FIT_MEMO_FLOATS the least recently used entries are
-    dropped, so ``held`` never exceeds ``limit``.  ``hits`` counts the
-    fits returned from the memo and ``misses`` those computed for it.
-    Safe under threads: the map and the counts are read and written under
-    a lock and a fit runs outside it, so two threads that miss one key both
-    fit it and both get the first result stored.
+    dropped, so ``held`` never exceeds ``limit``.  Safe under threads: the
+    map and ``held`` are read and written under a lock and a fit runs
+    outside it, so two threads that miss one key both fit it and both get
+    the first result stored.  A pickled or copied memo arrives empty: its
+    lock cannot be pickled, and its fits can be redone.
     """
 
     def __init__(self):
         self.limit = FIT_MEMO_FLOATS
-        self.held = self.hits = self.misses = 0
+        self.held = 0
         self._entries: OrderedDict[tuple[int, bytes], Subspace] = OrderedDict()
         self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return FitMemo, ()
 
     @staticmethod
     def _cost(key: tuple[int, bytes], subspace: Subspace) -> int:
@@ -115,12 +118,10 @@ class FitMemo:
         with self._lock:
             found = self._entries.get(key)
             if found is not None:
-                self.hits += 1
                 self._entries.move_to_end(key)
                 return found
         fitted = fit()
         with self._lock:
-            self.misses += 1
             found = self._entries.setdefault(key, fitted)
             if found is fitted:
                 self.held += self._cost(key, fitted)

@@ -222,11 +222,13 @@ def reduce_solve_lift(
 
     A solve by restarts overlaps the lift where ``solver._overlaps_lift``
     holds (a core left idle by BLAS, a sketch solved on one thread, and a
-    lift and restarts long enough to pay) and ``data.fits`` has computed
-    at least as many group fits as it returned: see :func:`_solve_and_lift`.
-    Once most fits of ``data`` are memo hits, its lift is mostly hits too,
-    and the overlap would only add its contention for the interpreter
-    lock.  The report is bit-identical either way.
+    lift and restarts long enough to pay) and ``data.fits`` holds no fit
+    yet: see :func:`_solve_and_lift`.  Sketches of one dataset recover
+    mostly the same groups, so once it has been lifted its lifts are
+    mostly memo hits, too short for the overlap to pay for restart 0
+    solved twice (a sweep over earlier lifts of one dataset on a 2-core
+    host, BENCH_22.json ``memo_sweep``).  The report is bit-identical
+    either way.
     """
     _require_normalized(data)
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -241,10 +243,8 @@ def reduce_solve_lift(
     report = cfg.certify(reduced, n_subspaces, max_dim)
     if report is not None:
         return lift(data, report, *args)
-    # A dataset whose fits mostly came from its memo will likely lift from
-    # it again, too quickly for the overlap to pay.
     if (_overlaps_lift(data.points.size, reduced.points.size, cfg.restarts)
-            and data.fits.hits <= data.fits.misses):
+            and data.fits.held == 0):
         return _solve_and_lift(data, reduced, cfg, *args)
     return lift(data, cfg.solve(reduced, n_subspaces, max_dim), *args)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 
@@ -305,7 +307,6 @@ def test_a_relabeled_partition_runs_no_svd(monkeypatch):
     perm = np.array([2, 0, 1])
     again = bundle_from_partition(data, Partition(perm[labels], 3), 2)
     assert svds == []
-    assert (data.fits.hits, data.fits.misses) == (3, 3)
     assert all(again.subspaces[perm[g]] is first.subspaces[g] for g in range(3))
     bundle_from_partition(data, Partition(labels, 3), 1)  # k is part of the key
     assert len(svds) == 3
@@ -335,14 +336,31 @@ def test_the_fit_memo_stays_within_its_float_bound(monkeypatch):
     assert tight.fits.held == 5  # only the 4 + 1 float fit
 
 
+@pytest.mark.parametrize("duplicate", [pickle.loads, copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_dataset_arrives_with_an_empty_memo(monkeypatch, duplicate):
+    """A warm DataSet survives pickle and deepcopy: the copy's memo is
+    empty and its own, and it fits the same bases, by SVD, as the
+    original."""
+    rng = np.random.default_rng(8)
+    data = DataSet(rng.normal(size=(6, 30)))
+    part = Partition(rng.integers(0, 3, size=30), 3)
+    first = bundle_from_partition(data, part, 2)
+    copied = duplicate(pickle.dumps(data) if duplicate is pickle.loads else data)
+    assert copied.fits.held == 0
+    assert copied.fits is not data.fits
+    svds = count_svds(monkeypatch)
+    assert bases(bundle_from_partition(copied, part, 2)) == bases(first)
+    assert len(svds) == 3
+
+
 @pytest.mark.parametrize("limit", [model.FIT_MEMO_FLOATS, 300], ids=["roomy", "evicting"])
 def test_threads_sharing_a_dataset_get_identical_bundles(monkeypatch, limit):
     """Eight threads fit partitions and relabelings of them on one DataSet,
     the interpreter switching threads every microsecond: each gets the
-    bundles fresh DataSets fit, nothing raises, every lookup is counted as
-    a hit or a miss, and the memo holds what it charged for: every
-    distinct group once when it has room, and at most 3 fits of 94 floats
-    when it evicts on almost every miss."""
+    bundles fresh DataSets fit, nothing raises, and the memo holds what
+    it charged for: every distinct group once when it has room, and at
+    most 3 fits of 94 floats when it evicts on almost every miss."""
     rng = np.random.default_rng(6)
     points = rng.normal(size=(30, 200))
     monkeypatch.setattr(model, "FIT_MEMO_FLOATS", limit)
@@ -377,8 +395,6 @@ def test_threads_sharing_a_dataset_get_identical_bundles(monkeypatch, limit):
     assert failures == []
     # Each fit is a 90-float basis and a 25-byte key; relabelings add none.
     assert data.fits.held == 94 * (16 if limit > 16 * 94 else 3) <= limit
-    assert data.fits.hits + data.fits.misses == 8 * 16 * len(partitions) * 4
-    assert data.fits.misses >= 16
 
 
 def test_partition_from_bundle_axis_data():
