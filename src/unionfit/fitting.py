@@ -25,6 +25,26 @@ GRAM_CLEAR_FACTOR = 1e4
 # rescaled instances the largest |screened - exact| was 0.036 of the slack.
 SCREEN_SLACK_FACTOR = 10
 
+# The float constants of the rounding bounds, read once.
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
+
+# An X X^T stack of order N >= BLOCK_MIN_ORDER gets its top eigenpairs from
+# a block subspace iteration of BLOCK columns and BLOCK_STEPS steps
+# (_ritz_pairs) instead of a full eigh, and a matrix keeps them only when
+# its certificate bounds sin(theta) by BLOCK_SIN_TOL; the others go to
+# eigh.  Set from the sweep in BENCH_23.json (one core, full_solve's
+# recorded stacks): at N = 200 the screen took 0.27 of its eigh-bound time
+# with these constants, 0.22 at 5 steps, which certify no fit at noise
+# 0.05 where 8 steps certify 183 of 216; 8 columns certified under half
+# the fits.  The block took 1.2 times eigh's time at N = 48 and 0.86-0.89
+# at N = 64.
+BLOCK = 16
+BLOCK_STEPS = 8
+BLOCK_MIN_ORDER = 4 * BLOCK
+BLOCK_SIN_TOL = 1e-12
+BLOCK_SEED = 0  # the start block's
+
 
 @dataclass(frozen=True)
 class AssignmentTrace:
@@ -58,7 +78,7 @@ def gram_floor(top, size, longest):
     GRAM_CLEAR_FACTOR, or the squared rank cutoff of a slice whose longer
     side is ``longest``, whichever is larger.  Elementwise on arrays."""
     return top * np.maximum(
-        GRAM_CLEAR_FACTOR * size * np.finfo(float).eps,
+        GRAM_CLEAR_FACTOR * size * EPS,
         (longest * RANK_TOL_FACTOR) ** 2,
     )
 
@@ -123,7 +143,9 @@ def gram_screen(
     projection onto the top t = min(k, width) eigenvectors of slice b's
     Gram matrix, clamped at 0: its w x w block of F^T F (one stacked
     ``eigh`` per width), or its N x N matrix of the stack (one stacked
-    ``eigh`` per call).  ``slack[b]`` bounds sum_j |rows[b, j] -
+    ``eigh`` per call; from order N >= BLOCK_MIN_ORDER on, the Ritz
+    vectors of a certified block iteration, ``_ritz_pairs``, and ``eigh``
+    only where it certifies none).  ``slack[b]`` bounds sum_j |rows[b, j] -
     exact[b, j]|, where ``exact`` is the row ``best_subspace_residuals``
     returns; the exact rows are never negative, so the clamp only moves a
     row toward them.  A row with t = 0 is the squared norms.  ``slack``
@@ -153,6 +175,19 @@ def gram_screen(
     c = SCREEN_SLACK_FACTOR for the LAPACK constants.  Where the Gram
     perturbation is not small against g, the second term alone is at least
     c ||F||_F^2 / 2, more than a projector error of at most 1 moves a row.
+
+    A Ritz row knows its eigenvalues only through the certificate of
+    ``_ritz_pairs``, theta_t <= l_t and l_{t+1} <= ub, for the rounded
+    Gram matrix G.  Let e = c (N + m) d(||X||_F^2), the Gram term above.
+    Q and U are orthonormal up to <~ N eps, and G Q, H, theta, tr G - sum
+    theta and R are formed with errors <~ (N + BLOCK) eps tr G, where tr G
+    = ||X||_F^2 and N + BLOCK <= 5 (N + m) / 4 (N >= 4 BLOCK); each is
+    within e / 2.  So the screen reads the gap as g = theta_t - ub - e,
+    and the sin(theta) theorem bounds the distance of U's top-t projector
+    from G's by (||R_t||_F + e) / g.  With G's distance e / g from P, as
+    above, the second term of the slack becomes ||F||_F^2 (2 e +
+    ||R_t||_F) / g.  The certified rows' ||R_t||_F is at most
+    BLOCK_SIN_TOL of theta_t - ub.
     """
     n_rows, count = points.shape
     size = n_rows + count
@@ -161,8 +196,7 @@ def gram_screen(
     norms, fro2 = norms
 
     def bound(s):  # d(s) of the docstring, times c (N + m)
-        tiny = np.finfo(float).smallest_subnormal
-        return SCREEN_SLACK_FACTOR * size * (np.finfo(float).eps * s + size**2 * tiny)
+        return SCREEN_SLACK_FACTOR * size * (EPS * s + size**2 * TINY)
 
     with np.errstate(all="ignore"):
         if not np.isfinite(fro2 * size):  # a Gram sum may overflow
@@ -173,7 +207,7 @@ def gram_screen(
         if flat.all():
             return np.tile(norms, (len(members), 1)), np.full(len(members), bound(fro2))
         top = int(t.max())
-        lam, coef = _top_eigenpairs(points, gram, members, widths, top)
+        lam, coef, ritz = _top_eigenpairs(points, gram, members, widths, t)
         if t.min() < top:
             coef[np.arange(top) >= t[:, None]] = 0.0
         coef *= coef
@@ -183,9 +217,13 @@ def gram_screen(
         gap = lam_t - np.maximum(lam[pick, t], 0.0)
         order = widths if gram.ndim == 2 else n_rows  # the Gram's size
         floor = gram_floor(lam[:, 0], order, np.maximum(n_rows, widths))
+        err = bound(members.astype(float) @ norms)  # c (N + m) d(||X||_F^2)
+        if ritz is not None:  # Ritz rows: the certified gap, and their residual
+            which, ub, resid = ritz
+            gap[which] = lam_t[which] - ub - err[which]
+            err[which] = 2 * err[which] + resid
         ok = (gap > 0) & (lam_t > floor) & np.all(np.isfinite(rows), axis=1)
-        trace = members.astype(float) @ norms
-        slack = bound(fro2) + fro2 * (bound(trace) / gap)
+        slack = bound(fro2) + fro2 * (err / gap)
         if not ok.all():
             rows[~ok] = 0.0
             slack[~ok] = np.inf
@@ -195,19 +233,38 @@ def gram_screen(
     return rows, slack
 
 
-def _top_eigenpairs(points, gram, members, widths, top):
-    """For each slice of ``gram_screen``: the top + 1 largest eigenvalues of
-    its Gram matrix, descending and 0 past the last, and every column's
-    coordinates (top x m) in the basis of its top eigenvectors.  From
-    F^T F that basis is X V L^(-1/2), from the w x w blocks of F^T F,
+def _top_eigenpairs(points, gram, members, widths, t):
+    """For each slice of ``gram_screen``, whose top eigenvectors it fits
+    (t = min(k, width), top = max t): the top + 1 largest eigenvalues of
+    its Gram matrix, descending and 0 past the last, every column's
+    coordinates (top x m) in the basis of its top eigenvectors, and the
+    Ritz rows' certificate, None where every slice went through ``eigh``.
+    From F^T F that basis is X V L^(-1/2), from the w x w blocks of F^T F,
     whose top eigenvectors are scattered to the slice's columns so that one
-    matmul serves every width."""
+    matmul serves every width.  From X X^T of order at least
+    BLOCK_MIN_ORDER, the slices whose block iteration is certified
+    (``_ritz_pairs``) take its Ritz pairs, and the certificate is their
+    indices, their bounds on the (t+1)-th eigenvalue and their residuals;
+    the others go through one stacked ``eigh``."""
     n_rows, count = points.shape
+    top = int(t.max())
     lam = np.zeros((len(members), top + 1))
     if gram.ndim == 3:  # the slices' X X^T
-        val, vec = np.linalg.eigh(gram)  # ascending
-        lam[:] = val[:, : -top - 2 : -1]
-        return lam, np.swapaxes(vec[:, :, : -top - 1 : -1], 1, 2) @ points
+        ritz = None
+        if n_rows >= BLOCK_MIN_ORDER and top < BLOCK:
+            ritz = _ritz_pairs(gram, t)
+        if ritz is None:
+            lam[:], coef = _eigh_pairs(gram, points, top)
+            return lam, coef, None
+        which, theta, basis, ub, resid = ritz
+        coef = np.empty((len(members), top, count))
+        lam[which] = theta[:, : top + 1]
+        coef[which] = np.swapaxes(basis[:, :, :top], 1, 2) @ points
+        rest = np.ones(len(members), dtype=bool)
+        rest[which] = False
+        if rest.any():
+            lam[rest], coef[rest] = _eigh_pairs(gram[rest], points, top)
+        return lam, coef, (which, ub, resid)
     vecs = np.zeros((len(members), count, top))
     for width in np.unique(widths[widths > 0]):
         which = np.flatnonzero(widths == width)
@@ -218,7 +275,91 @@ def _top_eigenpairs(points, gram, members, widths, top):
         vecs[which[:, None], cols, :fitted] = vec[:, :, : -fitted - 1 : -1]
     coef = np.swapaxes(vecs, 1, 2) @ gram
     coef /= np.sqrt(lam[:, :top, None])
-    return lam, coef
+    return lam, coef, None
+
+
+def _eigh_pairs(gram, points, top):
+    """The top + 1 eigenvalues, descending, of each matrix of an X X^T
+    stack, and the points' coordinates on its top eigenvectors, from one
+    stacked ``eigh``."""
+    val, vec = np.linalg.eigh(gram)  # ascending
+    coef = np.swapaxes(vec[:, :, : -top - 1 : -1], 1, 2) @ points
+    return val[:, : -top - 2 : -1], coef
+
+
+def _ritz_pairs(gram, t):
+    """Top eigenpairs of the matrices G of an X X^T stack by block subspace
+    iteration (the range finder of Halko, Martinsson and Tropp 2011),
+    certified per matrix.  From one Gaussian start of BLOCK columns, drawn
+    from a fixed seed, BLOCK_STEPS steps replace Q by the orthonormal
+    factor of G Q, and a Rayleigh-Ritz step takes the eigenpairs (theta,
+    W) of H = Q^T G Q and the Ritz vectors U = Q W.  Every matrix goes
+    through the same calls whatever its stack, so its pairs do not depend
+    on it.
+
+    Two tests leave a matrix to ``eigh`` early.  The certificate below
+    needs theta_t > tr G - sum theta, while theta_t <= lambda_t <= ||G||_F
+    / sqrt(t) and sum theta <= sqrt(BLOCK) ||G||_F; so a matrix with tr G
+    >= (sqrt(BLOCK) + 1 / sqrt(t)) ||G||_F, as pure noise has, whose
+    spectrum has no gap, is never iterated.  After the second product G Q
+    the Ritz values of that Q are at hand: sin(theta) falls by about
+    theta_B / theta_t a step, so a matrix whose ratio to the BLOCK_STEPS-th
+    power is not below BLOCK_SIN_TOL, or whose theta_t is not above tr G -
+    sum theta, stops there.
+    For the rest, with R = G Q - Q H, Weyl's inequality on G in the basis
+    [Q, Q_perp] bounds lambda_{t+1} by ub = max(theta_{t+1}, tr G - sum
+    theta) + ||R||_F, since the block of G on Q_perp is positive
+    semidefinite with trace tr G - tr H; Cauchy interlacing gives
+    lambda_t >= theta_t; and the sin(theta) theorem of Davis and Kahan
+    (1970) bounds U's top-t projector's distance from G's by ||R_t||_F /
+    (theta_t - ub), R_t the residual of the top t Ritz vectors.  A matrix
+    is certified when that bound is at most BLOCK_SIN_TOL, and
+    ``gram_screen`` adds the rounding of each term.
+
+    Returns None when no matrix of the stack is certified, else the
+    certified matrices' indices, their Ritz values (descending) and Ritz
+    vectors (N x BLOCK, same order), ub and ||R_t||_F.  Slices with t = 0
+    are not iterated.
+    """
+    trace = np.trace(gram, axis1=1, axis2=2)
+    flat = gram.reshape(len(gram), 1, -1)
+    fro = np.sqrt(flat @ np.swapaxes(flat, 1, 2)).ravel()  # ||G||_F
+    which = np.flatnonzero(
+        (t > 0) & (trace < (np.sqrt(BLOCK) + 1 / np.sqrt(np.maximum(t, 1))) * fro))
+    if not which.size:
+        return None
+    if which.size < len(t):
+        gram = gram[which]
+    q = np.random.default_rng(BLOCK_SEED).standard_normal((gram.shape[1], BLOCK))
+    for step in range(BLOCK_STEPS):
+        y = gram @ q
+        if step == 1:  # the second product's Ritz values, ascending
+            theta = np.linalg.eigvalsh(np.swapaxes(q, 1, 2) @ y)
+            theta_t = theta[np.arange(which.size), BLOCK - t[which]]
+            keep = np.flatnonzero(
+                (theta[:, 0] < BLOCK_SIN_TOL ** (1 / BLOCK_STEPS) * theta_t)
+                & (theta_t > trace[which] - np.sum(theta, axis=1)))
+            if not keep.size:
+                return None
+            if keep.size < which.size:
+                which, gram, y = which[keep], gram[keep], y[keep]
+        q = np.linalg.qr(y)[0]
+    t, trace = t[which], trace[which]
+    y = gram @ q
+    theta, w = np.linalg.eigh(np.swapaxes(q, 1, 2) @ y)
+    theta, w = theta[:, ::-1], w[:, :, ::-1]
+    basis = q @ w
+    resid = y @ w - basis * theta[:, None, :]  # G U - U diag(theta)
+    resid = np.sum(resid * resid, axis=1)  # per Ritz vector
+    pick = np.arange(len(t))
+    ub = np.maximum(theta[pick, t], trace - np.sum(theta, axis=1)) + np.sqrt(
+        np.sum(resid, axis=1))
+    resid = np.sqrt(np.cumsum(resid, axis=1)[pick, t - 1])
+    gap = theta[pick, t - 1] - ub
+    ok = (gap > 0) & (resid <= BLOCK_SIN_TOL * gap)
+    if not ok.any():
+        return None
+    return which[ok], theta[ok], basis[ok], ub[ok], resid[ok]
 
 
 def bundle_from_partition(data: DataSet, partition: Partition, k: int) -> Bundle:

@@ -79,7 +79,9 @@ def screen_instance(form):
     """Points with duplicated and zero columns, slices that are empty
     (flat), rank 0 and rank 1 (untrusted at k >= 1 and k = 2), generic
     and wider than N, and the Gram data of ``form``: F^T F, or the
-    slices' stacked X X^T as alternating minimization forms it."""
+    slices' stacked X X^T as alternating minimization forms it, also with
+    the points rotated into BLOCK_MIN_ORDER dimensions, where the block
+    iteration fits the slices."""
     rng = np.random.default_rng(43)
     pts = rng.normal(size=(5, 10))
     pts[:, 1] = pts[:, 0]  # duplicated column
@@ -92,7 +94,9 @@ def screen_instance(form):
     members[5] = True  # wider than N
     if form == "F^T F":
         return pts, DataSet(pts).gram, members
-    stack = np.empty((len(members), 5, 5))
+    if form == "X X^T above the floor":
+        pts = np.linalg.qr(rng.normal(size=(fitting.BLOCK_MIN_ORDER, 5)))[0] @ pts
+    stack = np.empty((len(members), len(pts), len(pts)))
     for g, out in zip(members, stack):
         x = pts[:, g]
         np.matmul(x, x.T, out=out)
@@ -119,36 +123,104 @@ def test_gram_screen_given_its_norms_returns_its_own_arrays(form):
     assert untrusted
 
 
-@pytest.mark.parametrize("form", ["F^T F", "X X^T"])
+@pytest.mark.parametrize("form", ["F^T F", "X X^T", "X X^T above the floor"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_gram_screen_rows_do_not_depend_on_their_block(form, k):
     """A block of trusted slices only, whose arrays the screen returns
     with no masked copy, gives the rows that the same slices get in a
     block with flat and untrusted ones.  (Their slacks may differ in the
     last bits: each slice's trace is a row of one matrix-vector product
-    over the block.)"""
+    over the block.)  Above the block iteration's floor, where the
+    trusted rows are certified Ritz rows, they are also the same in a
+    second run and on another thread."""
     pts, gram, members = screen_instance(form)
     norms = squared_norms(pts, gram if gram.ndim == 2 else None)
     rows, slack = gram_screen(pts, gram, members, k, norms)
     trusted = np.isfinite(slack) & members.any(axis=1)
     assert np.isinf(slack).any() and not trusted[0] and trusted.sum() >= 2
-    alone = gram_screen(pts, gram if gram.ndim == 2 else gram[trusted],
-                        members[trusted], k, norms)
-    assert np.array_equal(alone[0], rows[trusted])
-    assert np.all(np.isfinite(alone[1]))
+
+    def alone():
+        return gram_screen(pts, gram if gram.ndim == 2 else gram[trusted],
+                           members[trusted], k, norms)
+
+    runs = [alone()]
+    if form == "X X^T above the floor":
+        t = np.minimum(k, np.count_nonzero(members, axis=1))
+        assert set(np.flatnonzero(trusted)) <= set(fitting._ritz_pairs(gram, t)[0])
+        runs.append(alone())
+        thread = threading.Thread(target=lambda: runs.append(alone()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(runs) == 3
+    for run in runs:
+        assert np.array_equal(run[0], rows[trusted])
+        assert np.all(np.isfinite(run[1]))
 
 
-@pytest.mark.parametrize("tall", [False, True], ids=["short", "tall"])
-def test_am_rows_match_svd_fit(tall):
+def test_ritz_certificate_holds_when_the_iteration_stops_early(monkeypatch):
+    """With three steps and a loose tolerance the block iteration stops
+    well before it converges, so its certificate is what keeps a matrix:
+    for every matrix it keeps, theta_t <= lambda_t, lambda_{t+1} <= ub,
+    and the top-t Ritz vectors' projector lies within ||R_t||_F / (theta_t
+    - ub) of the top-t eigenprojector, to rounding.  It keeps no matrix
+    whose t-th eigenvalue is tied with the next, nor one of pure noise,
+    nor one whose t-th eigenvector the iteration cannot see."""
+    monkeypatch.setattr(fitting, "BLOCK_STEPS", 3)
+    monkeypatch.setattr(fitting, "BLOCK_SIN_TOL", 1e-3)
+    rng = np.random.default_rng(233)
+    n = fitting.BLOCK_MIN_ORDER
+    spectra = [np.concatenate([[1.0, 0.7, 0.5], tail * rng.uniform(size=n - 3)])
+               for tail in (1e-3, 3e-3, 1e-2, 2e-2, 3e-2)]
+    spectra.append(np.concatenate([[1.0, 0.5, 0.5], 1e-3 * rng.uniform(size=n - 3)]))
+    spectra.append(rng.uniform(size=n))  # no gap anywhere to speak of
+    stack = []
+    for lam in spectra:
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        stack.append((basis * lam) @ basis.T)
+    # An eigenvector orthogonal to the start block never enters it: its
+    # eigenvalue, 0.6, is the third, which only the trace term of ub sees.
+    start = np.random.default_rng(fitting.BLOCK_SEED).standard_normal(
+        (n, fitting.BLOCK))
+    basis = np.linalg.qr(np.hstack([start, rng.normal(size=(n, n - fitting.BLOCK))]))[0]
+    lam = np.zeros(n)
+    lam[: fitting.BLOCK] = np.concatenate([[1.0, 0.7, 0.5], 1e-3 * rng.uniform(
+        size=fitting.BLOCK - 3)])
+    lam[fitting.BLOCK] = 0.6
+    stack.append((basis * lam) @ basis.T)
+    gram = np.array(stack)
+    val, vec = np.linalg.eigh(gram)
+    val, vec = val[:, ::-1], vec[:, :, ::-1]
+    kept = 0
+    for t in (1, 2, 3):
+        out = fitting._ritz_pairs(gram, np.full(len(gram), t))
+        which, theta, basis, ub, resid = out if out is not None else ([],) * 5
+        for b, th, u, bound, r in zip(which, theta, basis, ub, resid):
+            assert th[t - 1] <= val[b, t - 1] + 1e-14
+            assert val[b, t] <= bound + 1e-14
+            ritz = u[:, :t] @ u[:, :t].T
+            exact = vec[b, :, :t] @ vec[b, :, :t].T
+            assert np.linalg.norm(ritz - exact, 2) <= r / (th[t - 1] - bound) + 1e-12
+        assert len(spectra) - 1 not in set(which)
+        assert t != 2 or len(spectra) - 2 not in set(which)
+        assert t != 3 or len(spectra) not in set(which)
+        kept += len(which)
+    assert kept >= 8
+
+
+@pytest.mark.parametrize("form", ["short", "tall", "above the floor"])
+def test_am_rows_match_svd_fit(ritz_rows, form):
     """Alternating minimization's rows, from the Gram kernel and its SVD
     fallback, agree with the SVD path's rows to rounding, on short data
-    (each slice's own X X^T) and, rotated into 24 dimensions, on tall data
-    (blocks of F^T F)."""
+    (each slice's own X X^T), rotated into 24 dimensions, on tall data
+    (blocks of F^T F), and rotated into BLOCK_MIN_ORDER dimensions, on
+    X X^T fitted by the block iteration, whose slack covers its residual."""
     rng = np.random.default_rng(37)
     n = 5
     probe = rng.normal(size=(n, 9))  # points the residuals are measured on
     dup = rng.normal(size=(n, 4))
     dup[:, 2:] = dup[:, :2]
+    on_axis = np.zeros((n, 6))
+    on_axis[0] = np.arange(1.0, 7.0)
     slices = {
         "zero": np.zeros((n, 3)),
         "empty": np.zeros((n, 0)),
@@ -157,14 +229,16 @@ def test_am_rows_match_svd_fit(tall):
         "narrow": rng.normal(size=(n, 3)),
         "wide": rng.normal(size=(n, 12)),
         "wide, rank 2": rng.normal(size=(n, 2)) @ rng.normal(size=(2, 12)),
+        "on an axis": on_axis,
     }
     lift = np.linalg.qr(rng.normal(size=(24, n)))[0]
+    deep = np.linalg.qr(rng.normal(size=(fitting.BLOCK_MIN_ORDER, n)))[0]
     for name, x in slices.items():
         points = np.hstack([x, probe])
-        if tall:
-            points = lift @ points
+        if form != "short":
+            points = (lift if form == "tall" else deep) @ points
         members = (np.arange(points.shape[1]) < x.shape[1])[None, :]
-        gram = DataSet(points).gram if tall else None
+        gram = DataSet(points).gram if form == "tall" else None
         scale = np.sum(points * points, axis=0)
         norms = squared_norms(points, gram)
         for k in range(4):
@@ -174,6 +248,7 @@ def test_am_rows_match_svd_fit(tall):
             assert np.all(np.abs(ours - theirs) <= 1e-12 * scale), (name, k)
             assert np.all(np.isfinite(slack)), (name, k)
             assert np.all(np.sum(np.abs(ours - theirs), axis=1) <= slack), (name, k)
+    assert (ritz_rows[0] > 0) == (form == "above the floor")
 
 
 def test_best_subspace_svd_oracle():

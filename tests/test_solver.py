@@ -182,8 +182,10 @@ def exactness_inputs():
     Together they take every path of the Gram kernel (blocks of F^T F on
     tall data and wherever m <= l N, each group's own X X^T elsewhere, and
     on both the SVD fallback for rows it does not trust, as for k >= rank
-    and rank-1 groups), start from empty groups, reseed a group emptied
-    mid-run, and leave through each exit.
+    and rank-1 groups; from N = BLOCK_MIN_ORDER on, X X^T by the certified
+    block iteration, and by eigh where it certifies nothing, as on pure
+    noise), start from empty groups, reseed a group emptied mid-run, and
+    leave through each exit.
     """
     rng = np.random.default_rng(191)
     noisy = SyntheticSpec(ambient_dim=20, n_subspaces=3, max_dim=2, n_points=150,
@@ -210,6 +212,10 @@ def exactness_inputs():
     emptied_twice = DataSet(np.random.default_rng(146).normal(size=(5, 10)))
     two_points = np.full(24, 2)
     two_points[:2] = 0  # a group of 2 points under k = 3
+    deep = SyntheticSpec(ambient_dim=80, n_subspaces=4, max_dim=3, n_points=600,
+                         noise_sigma=0.01, seed=23)
+    deep, _ = generate_synthetic(deep)
+    deep_noise = DataSet(np.random.default_rng(230).normal(size=(80, 600)))
     return [
         ("wide", wide, 3, 2, random_partition(150, 3, 1), {}, "fixpoint"),
         ("wide-tol", wide, 3, 2, random_partition(150, 3, 2), {"tol": 1e-2},
@@ -238,6 +244,10 @@ def exactness_inputs():
          "fixpoint"),
         ("two-groups-emptied-at-once", emptied_twice, 4, 2,
          random_partition(10, 4, 146), {}, "fixpoint"),
+        ("noisy-above-block-floor", deep, 4, 3, random_partition(600, 4, 9), {},
+         "fixpoint"),
+        ("pure-noise-above-block-floor", deep_noise, 4, 3,
+         random_partition(600, 4, 9), {}, "fixpoint"),
     ]
 
 
@@ -247,13 +257,14 @@ def test_alternate_minimize_matches_reference_loop(case):
     assert assert_am_matches_reference(data, n_groups, k, init, **kwargs) == expected
 
 
-def test_exactness_inputs_take_every_path(monkeypatch):
+def test_exactness_inputs_take_every_path(monkeypatch, ritz_rows):
     """The comparison above is only as good as its inputs: every path of
     the Gram kernel, the reuse of unchanged groups and the reseed must
     occur."""
     seen = dict.fromkeys(("F^T F on tall data", "F^T F on short data",
                           "X X^T", "F^T F fallback", "X X^T fallback",
-                          "reseed"), 0)
+                          "X X^T by the block iteration",
+                          "X X^T by eigh above the block floor", "reseed"), 0)
     screen, fallback = solver.gram_screen, solver.best_subspace_residuals
     reseed = solver._reseed_empty_groups
     rows = 0
@@ -286,6 +297,8 @@ def test_exactness_inputs_take_every_path(monkeypatch):
     for _, data, n_groups, k, init, kwargs, _ in exactness_inputs():
         report = alternate_minimize(data, n_groups, k, init, **kwargs)
         group_rounds += report.iterations[0] * n_groups
+    seen["X X^T by the block iteration"] = ritz_rows[0]
+    seen["X X^T by eigh above the block floor"] = ritz_rows[1]
     assert all(seen.values()), seen
     assert rows < group_rounds  # unchanged groups were not refitted
 
@@ -1489,16 +1502,18 @@ def screen_grams(points, members):
     return [gram, masked, own]
 
 
-def assert_screen_within_slack(data, n_groups, k):
+def assert_screen_within_slack(data, n_groups, k, labels=None):
     """The oracle's window rests on this: over every canonical labeling,
-    each screened row lies within its slack of the exact row (summed over
-    the points), so each labeling's screened error lies within the sum of
-    its groups' slacks of its exact error.  Alternating minimization's
-    rows rest on it too: it takes the screened row wherever the slack is
-    finite.  Returns the slacks of the last form of the Gram data."""
+    or the rows of ``labels`` where given, each screened row lies within
+    its slack of the exact row (summed over the points), so each
+    labeling's screened error lies within the sum of its groups' slacks
+    of its exact error.  Alternating minimization's rows rest on it too:
+    it takes the screened row wherever the slack is finite.  Returns the
+    slacks of the last form of the Gram data."""
     points = data.points
-    labels = np.concatenate(
-        list(reference_canonical_labelings(data.count, n_groups, 64)))
+    if labels is None:
+        labels = np.concatenate(
+            list(reference_canonical_labelings(data.count, n_groups, 64)))
     members = (labels[:, None, :] == np.arange(n_groups)[:, None]).reshape(
         -1, data.count)
     exact = fitting.best_subspace_residuals(points, members, k)
@@ -1554,6 +1569,52 @@ def test_screen_lies_within_its_slack_on_tall_and_tied_data():
     with np.errstate(over="ignore"):
         slack = assert_screen_within_slack(DataSet(1e160 * rotated), 2, 1)
     assert np.all(np.isinf(slack))
+
+
+def test_screen_lies_within_its_slack_above_the_block_floor(monkeypatch, ritz_rows):
+    """At N = BLOCK_MIN_ORDER < m, where every slice's X X^T, as the
+    oracle and alternating minimization form it, goes through the block
+    iteration: two planes with duplicated and zero columns, points on one
+    axis, k at or above the groups' rank, and the planes rescaled by
+    1e-160 (Gram entries that underflow) and 1e160 (squares past the float
+    range, where no row is trusted).  The labelings are the planes' own
+    and random ones, whose groups mix both planes."""
+    rng = np.random.default_rng(231)
+    n, m = fitting.BLOCK_MIN_ORDER, 80
+    truth = np.repeat([0, 1], m // 2)
+    planes = np.hstack([np.linalg.qr(rng.normal(size=(n, 2)))[0]
+                        @ rng.normal(size=(2, m // 2)) for _ in range(2)])
+    clean = planes.copy()
+    planes += 1e-3 * rng.normal(size=(n, m))
+    for pts in (planes, clean):
+        pts[:, 1] = pts[:, 0]  # duplicated column
+        pts[:, [2, 47]] = 0.0  # zero columns
+    on_axis = np.zeros((n, m))
+    on_axis[0] = np.arange(1.0, m + 1.0)
+    labels = np.vstack([truth, rng.integers(0, 2, size=(7, m))])
+    # Clean planes at k = 3 leave the planes' own groups untrusted (k
+    # above their rank); the mixed groups are fitted.
+    for pts, k in ((planes, 1), (planes, 2), (planes, 3), (clean, 3), (on_axis, 1)):
+        ritz_rows[0] = 0
+        assert_screen_within_slack(DataSet(pts), 2, k, labels)
+        assert ritz_rows[0] > 0
+    # k above every group's rank: no row is trusted.
+    slack = assert_screen_within_slack(DataSet(on_axis), 2, 2, labels)
+    assert np.all(np.isinf(slack))
+    assert_screen_within_slack(DataSet(1e-160 * planes), 2, 2, labels)
+    with np.errstate(over="ignore"):
+        slack = assert_screen_within_slack(DataSet(1e160 * planes), 2, 2, labels)
+    assert np.all(np.isinf(slack))
+    # Stopped after three steps, with a loose tolerance, the Ritz rows of
+    # noisier planes are off by far more than rounding: the slack must
+    # cover the iteration's residual.
+    monkeypatch.setattr(fitting, "BLOCK_STEPS", 3)
+    monkeypatch.setattr(fitting, "BLOCK_SIN_TOL", 1e-3)
+    noisy = clean + 3e-2 * rng.normal(size=(n, m))
+    for k in (1, 2):
+        ritz_rows[0] = 0
+        assert_screen_within_slack(DataSet(noisy), 2, k, labels)
+        assert ritz_rows[0] > 0
 
 
 def screened_block_sizes(monkeypatch, data, n_groups, k):
