@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .solver import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_TOL,
     SolveReport,
-    _fit_gram,
-    _overlaps_lift,
     brute_force_oracle,
     solve_best_model,
     within_budget,
@@ -219,16 +216,6 @@ def reduce_solve_lift(
     configured budget, otherwise by seeded multi-restart alternation
     (``solve``); :func:`lift` then refits the partition.  Passing
     ``matrix`` bypasses sampling: tests inject lossless embeddings.
-
-    A solve by restarts overlaps the lift where ``solver._overlaps_lift``
-    holds (a core left idle by BLAS, a sketch solved on one thread, and a
-    lift and restarts long enough to pay) and ``data.fits`` holds no fit
-    yet: see :func:`_solve_and_lift`.  Sketches of one dataset recover
-    mostly the same groups, so once it has been lifted its lifts are
-    mostly memo hits, too short for the overlap to pay for restart 0
-    solved twice (a sweep over earlier lifts of one dataset on a 2-core
-    host, BENCH_22.json ``memo_sweep``).  The report is bit-identical
-    either way.
     """
     _require_normalized(data)
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -239,61 +226,10 @@ def reduce_solve_lift(
                                 f"act on points of dimension {data.ambient_dim}")
 
     reduced = DataSet(a @ data.points)
-    args = n_subspaces, max_dim, spec.reduced_dim, epsilon, e0
     report = cfg.certify(reduced, n_subspaces, max_dim)
-    if report is not None:
-        return lift(data, report, *args)
-    if (_overlaps_lift(data.points.size, reduced.points.size, cfg.restarts)
-            and data.fits.held == 0):
-        return _solve_and_lift(data, reduced, cfg, *args)
-    return lift(data, cfg.solve(reduced, n_subspaces, max_dim), *args)
-
-
-def _solve_and_lift(data: DataSet, reduced: DataSet, cfg: SolverConfig,
-                    n_subspaces: int, max_dim: int, *args) -> LiftReport:
-    """``lift(data, cfg.solve(reduced, ...))``, with the lift started before
-    the solve ends.
-
-    A helper thread runs the whole solve.  Meanwhile the calling thread
-    solves restart 0 alone, the same function on the same input, and lifts
-    its partition.  When the solve's partition equals that guess, the
-    lift of the guess is the lift of the winner, bit for bit, and it is
-    returned with the solve's own reduced partition, error and flag;
-    otherwise the winner is lifted after all.  That lift reads from
-    ``data.fits`` every group the guess shares with the winner (all of
-    them when the two differ only by labels), so a missed guess costs
-    mostly memo hits and one error pass.  The lift stays on the calling
-    thread: on the helper, its group SVDs and residual work arrays, the
-    call's largest, would grow the helper's own malloc arena, which the
-    sketch-space solve's small arrays keep small.  ``reduced.gram`` is
-    formed first, where the solve reads it, so the threads do not race
-    to form it.  An exception on either thread reaches the caller once
-    the helper has finished.
-    """
-    _fit_gram(reduced, n_subspaces)
-    solved = []  # the solve's report, or what it raised
-
-    def solve() -> None:
-        try:
-            solved.append(cfg.solve(reduced, n_subspaces, max_dim))
-        except BaseException as exc:  # raised again in the caller
-            solved.append(exc)
-
-    helper = threading.Thread(target=solve)
-    helper.start()
-    try:
-        first = replace(cfg, restarts=1).solve(reduced, n_subspaces, max_dim)
-        guessed = lift(data, first, n_subspaces, max_dim, *args)
-    finally:
-        helper.join()
-    report = solved[0]
-    if isinstance(report, BaseException):
-        raise report
-    if guessed.reduced_partition != report.partition:
-        return lift(data, report, n_subspaces, max_dim, *args)
-    return replace(guessed, reduced_partition=report.partition,
-                   reduced_error=report.error,
-                   reduced_certified_optimal=report.certified_optimal)
+    if report is None:
+        report = cfg.solve(reduced, n_subspaces, max_dim)
+    return lift(data, report, n_subspaces, max_dim, spec.reduced_dim, epsilon, e0)
 
 
 def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,

@@ -410,25 +410,6 @@ def _restart_workers(n_floats: int, restarts: int) -> int:
     return 1 if n_floats < PARALLEL_MIN_FLOATS else _workers(restarts)
 
 
-def _overlaps_lift(full_floats: int, sketch_floats: int, restarts: int) -> bool:
-    """Whether ``reduce_solve_lift`` overlaps the lift of data of
-    ``full_floats`` entries with a solve of ``restarts`` restarts on a
-    sketch of ``sketch_floats``: where a core is left idle by BLAS, the
-    solve runs on one thread (its sketch is below ``PARALLEL_MIN_FLOATS``),
-    and both halves of the overlap are long: the full data has at least
-    twice ``PARALLEL_MIN_FLOATS`` entries, and the restarts past the first
-    at least ``PARALLEL_MIN_FLOATS`` of sketch entries between them.  The
-    overlap saves at most the shorter of the lift and those restarts; it
-    costs restart 0 solved twice and the threads' handoffs of the
-    interpreter lock, where a numpy call that released the lock can wait
-    a switch interval to take it back from the other thread.  The floors
-    come from a sweep of 24 shapes on a 2-core host (BENCH_21.json
-    ``gate_sweep``)."""
-    rest = (restarts - 1) * sketch_floats
-    return (sketch_floats < PARALLEL_MIN_FLOATS <= rest
-            and full_floats >= 2 * PARALLEL_MIN_FLOATS and _workers(2) == 2)
-
-
 def _canonical_count(count: int, n_groups: int) -> int:
     """Canonical labelings of ``count`` points into at most ``n_groups``
     groups: the sum over j <= l of the Stirling numbers S(m, j)."""

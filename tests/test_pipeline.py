@@ -1,7 +1,6 @@
 import math
 import threading
 from dataclasses import fields
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -296,18 +295,17 @@ def test_sampled_matrix_matches_spec_shape():
     assert sample_matrix(spec).shape == (4, 20)
 
 
-# reduce_solve_lift overlaps the lift with the sketch-space solve where
-# solver._overlaps_lift holds.  128 x 2048 points, sketched to r = 16 and
-# solved by 5 restarts, sit exactly at both of its floors: 2 *
-# PARALLEL_MIN_FLOATS full entries, and PARALLEL_MIN_FLOATS sketch entries
-# in the 4 restarts past the first.
-OVERLAP_DATA = SyntheticSpec(ambient_dim=128, n_subspaces=3, max_dim=2,
-                             n_points=2048, noise_sigma=0.05, seed=5)
-OVERLAP_R, OVERLAP_RESTARTS = 16, 5
+# 128 x 2048 points hold 2 * PARALLEL_MIN_FLOATS entries, enough for a
+# solve of the full data to run its restarts on threads on two cores; the
+# sketch to r = 16 stays below the floor, so its 5 restarts run on one.
+# reduce_solve_lift must still sketch, solve and lift on the calling thread.
+LIFT_DATA = SyntheticSpec(ambient_dim=128, n_subspaces=3, max_dim=2,
+                          n_points=2048, noise_sigma=0.05, seed=5)
+LIFT_R, LIFT_RESTARTS = 16, 5
 
 
-def overlap_sketch(seed):
-    return RandomSpec("gaussian", reduced_dim=OVERLAP_R, ambient_dim=128, seed=seed)
+def lift_sketch(seed):
+    return RandomSpec("gaussian", reduced_dim=LIFT_R, ambient_dim=128, seed=seed)
 
 
 def use_cores(monkeypatch, cores):
@@ -347,171 +345,84 @@ def assert_lift_reports_equal(ours, theirs):
 
 
 def both_paths(monkeypatch, data, spec, *args, **kwargs):
-    """reduce_solve_lift on the calling thread alone (one core), then on
-    two cores, where it overlaps the lift with the solve, each on its own
-    copy of ``data``, so that neither reads group fits the other
-    memoized; returns the sequential report, the overlapped one and the
-    overlapped call's count of lifts."""
+    """reduce_solve_lift on one core, then on two, each on its own copy of
+    ``data``, so that neither reads group fits the other memoized; returns
+    the one-core report, the two-core one and the two-core call's count of
+    lifts."""
     use_cores(monkeypatch, 1)
-    sequential = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
+    one = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
     use_cores(monkeypatch, 2)
     lifts = count_lifts(monkeypatch)
-    overlapped = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
-    return sequential, overlapped, lifts[0]
+    two = reduce_solve_lift(DataSet(data.points), spec, *args, **kwargs)
+    return one, two, lifts[0]
 
 
-@pytest.mark.parametrize("seed, lifts", [(2, 1), (1, 2)])  # a hit, a miss
-def test_overlapped_lift_equals_the_sequential_one(monkeypatch, seed, lifts):
-    data, _ = generate_synthetic(OVERLAP_DATA)
+# Under stop_below 0.15 restart 2 (error 0.118) stops the solve at r = 16.
+# At r = 64 the sketch holds PARALLEL_MIN_FLOATS entries, so on two cores
+# its restarts, and their refits under stop_below, run on two threads.
+@pytest.mark.parametrize("seed, stop_below, r", [
+    (2, None, LIFT_R), (1, None, LIFT_R), (1, 0.15, LIFT_R), (1, None, 64), (1, 0.15, 64),
+])
+def test_one_and_two_cores_lift_alike(monkeypatch, seed, stop_below, r):
+    data, _ = generate_synthetic(LIFT_DATA)
     assert data.points.size == 2 * solver.PARALLEL_MIN_FLOATS
-    spec = overlap_sketch(seed)
-    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=seed)
-    sequential, overlapped, used = both_paths(
-        monkeypatch, data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
-    assert_lift_reports_equal(overlapped, sequential)
-    assert used == lifts  # the guess was kept, or the winner lifted again
-    assert sequential.bound_value is not None
+    spec = RandomSpec("gaussian", reduced_dim=r, ambient_dim=128, seed=seed)
+    cfg = SolverConfig(restarts=LIFT_RESTARTS, seed=seed, stop_below=stop_below)
+    one, two, lifts = both_paths(monkeypatch, data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    assert_lift_reports_equal(two, one)
+    assert lifts == 1
+    assert one.bound_value is not None
 
 
-# Under stop_below 0.23 restart 0 (error 0.223) stops the solve and is the
-# winner; under 0.15 restart 2 (0.118) does, and the guess misses.
-@pytest.mark.parametrize("stop_below, lifts", [(0.23, 1), (0.15, 2)])
-def test_overlapped_lift_under_stop_below(monkeypatch, stop_below, lifts):
-    data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = overlap_sketch(1)
-    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=1, stop_below=stop_below)
-    sequential, overlapped, used = both_paths(monkeypatch, data, spec, 3, 2, cfg)
-    assert_lift_reports_equal(overlapped, sequential)
-    assert used == lifts
+def test_reduce_solve_lift_runs_on_the_calling_thread(monkeypatch):
+    """On two cores, with data large enough to thread a full-space solve,
+    reduce_solve_lift starts no thread: it solves the sketch once, with
+    the configured restarts, then lifts once, both on the calling thread."""
+    data, _ = generate_synthetic(LIFT_DATA)
+    use_cores(monkeypatch, 2)
+    threads = threading.active_count()
+    calls = []
+    real_solve, real_lift = SolverConfig.solve, pipeline.lift
+
+    def solve(self, *args):
+        calls.append(("solve", self.restarts, threading.current_thread(),
+                      threading.active_count()))
+        return real_solve(self, *args)
+
+    def lift(*args):
+        calls.append(("lift", None, threading.current_thread(),
+                      threading.active_count()))
+        return real_lift(*args)
+
+    monkeypatch.setattr(SolverConfig, "solve", solve)
+    monkeypatch.setattr(pipeline, "lift", lift)
+    reduce_solve_lift(data, lift_sketch(2), 3, 2, SolverConfig(restarts=LIFT_RESTARTS, seed=2))
+    caller = threading.current_thread()
+    assert calls == [("solve", LIFT_RESTARTS, caller, threads),
+                     ("lift", None, caller, threads)]
+    assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("cores, seed, lifts", [(2, 2, 1), (2, 1, 2), (1, 1, 1)],
-                         ids=["hit", "miss", "sequential"])
-def test_a_warm_dataset_lifts_as_a_fresh_one(monkeypatch, cores, seed, lifts):
-    """A second reduce_solve_lift on one DataSet takes the sequential path
-    and reads every full-space group fit from the memo the first call
-    filled.  Both reports equal the one-core report of a fresh DataSet
-    field for field: the first call's on the overlapped path when the
-    guess is kept and when the winner is lifted again, and on the
-    sequential path."""
-    data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = overlap_sketch(seed)
-    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=seed)
+@pytest.mark.parametrize("cores, seed", [(2, 2), (2, 1), (1, 1)])
+def test_a_warm_dataset_lifts_as_a_fresh_one(monkeypatch, cores, seed):
+    """A second reduce_solve_lift on one DataSet reads every full-space
+    group fit from the memo the first call filled.  Both reports equal
+    the one-core report of a fresh DataSet field for field."""
+    data, _ = generate_synthetic(LIFT_DATA)
+    spec = lift_sketch(seed)
+    cfg = SolverConfig(restarts=LIFT_RESTARTS, seed=seed)
     use_cores(monkeypatch, 1)
     fresh = reduce_solve_lift(DataSet(data.points), spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
     use_cores(monkeypatch, cores)
     used = count_lifts(monkeypatch)
     cold = reduce_solve_lift(data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
-    assert used[0] == lifts
+    assert used[0] == 1
     svd_shapes = []
     real = fitting.svd_basis
     monkeypatch.setattr(fitting, "svd_basis",
                         lambda a, k: svd_shapes.append(a.shape) or real(a, k))
     warm = reduce_solve_lift(data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
-    assert used[0] == lifts + 1
+    assert used[0] == 2
     assert_lift_reports_equal(cold, fresh)
     assert_lift_reports_equal(warm, fresh)
-    assert [s for s in svd_shapes if s[-2] == OVERLAP_DATA.ambient_dim] == []
-
-
-def test_a_dataset_with_memoized_fits_skips_the_overlap(monkeypatch):
-    """Only a dataset whose memo holds no fit overlaps its lift: later
-    lifts of it are mostly memo hits, and reduce_solve_lift takes the
-    sequential path, with the report of a fresh dataset."""
-    data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = overlap_sketch(2)
-    cfg = SolverConfig(restarts=OVERLAP_RESTARTS, seed=2)
-    use_cores(monkeypatch, 2)
-    fresh = reduce_solve_lift(DataSet(data.points), spec, 3, 2, cfg)
-    overlapped = []
-    real = pipeline._solve_and_lift
-
-    def counted(*args):
-        overlapped.append(args[0].fits.held)
-        return real(*args)
-
-    monkeypatch.setattr(pipeline, "_solve_and_lift", counted)
-    for _ in range(3):
-        assert_lift_reports_equal(reduce_solve_lift(data, spec, 3, 2, cfg), fresh)
-    assert overlapped == [0]
-
-
-def test_overlapped_lift_forms_the_sketch_gram_once(monkeypatch):
-    """Where the sketch-space solve reads F^T F (m <= l r), both threads
-    would read DataSet.gram; it is formed once, before either solve
-    starts."""
-    data = normalize_dataset(DataSet(np.random.default_rng(8).normal(size=(700, 400))))
-    assert solver._reads_gram(400, 100, 4)
-    spec = RandomSpec("gaussian", reduced_dim=100, ambient_dim=700, seed=3)
-    events = []
-
-    def gram(self):
-        events.append("gram")
-        return self.points.T @ self.points
-
-    prop = cached_property(gram)
-    prop.__set_name__(DataSet, "gram")
-    monkeypatch.setattr(DataSet, "gram", prop)
-    real = SolverConfig.solve
-
-    def solve(self, *args):
-        events.append("solve")
-        return real(self, *args)
-
-    monkeypatch.setattr(SolverConfig, "solve", solve)
-    cfg = SolverConfig(restarts=5, seed=4, max_iter=5)
-    sequential, overlapped, _ = both_paths(monkeypatch, data, spec, 4, 2, cfg)
-    assert_lift_reports_equal(overlapped, sequential)
-    assert events == ["solve", "gram"] + ["gram", "solve", "solve"]
-
-
-@pytest.mark.parametrize("failing", [OVERLAP_RESTARTS, 1])  # the helper's, restart 0's
-def test_overlapped_lift_raises_and_leaves_no_thread(monkeypatch, failing):
-    data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = overlap_sketch(0)
-    real = SolverConfig.solve
-
-    def solve(self, *args):
-        if self.restarts == failing:
-            raise RuntimeError(f"solve of {failing} restarts failed")
-        return real(self, *args)
-
-    monkeypatch.setattr(SolverConfig, "solve", solve)
-    use_cores(monkeypatch, 2)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"solve of {failing} restarts"):
-        reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=OVERLAP_RESTARTS, seed=0))
-    assert threading.active_count() == threads
-
-
-FLOOR = solver.PARALLEL_MIN_FLOATS
-
-
-@pytest.mark.parametrize("cores, full, sketch, restarts, overlaps", [
-    (2, 2 * FLOOR, FLOOR // 4, 5, True),  # OVERLAP_DATA's shape, at both floors
-    (2, 2 * FLOOR - 1, FLOOR // 4, 5, False),  # the full data one entry short
-    (2, 2 * FLOOR, FLOOR // 4, 4, False),  # restarts past the first too short
-    (2, 2 * FLOOR, FLOOR // 4, 1, False),  # one restart: nothing to overlap
-    (1, 2 * FLOOR, FLOOR // 4, 5, False),  # no idle core
-    (2, 400_000, 200_000, 5, False),  # the sketch solve threads its restarts
-])
-def test_overlap_gate(monkeypatch, cores, full, sketch, restarts, overlaps):
-    use_cores(monkeypatch, cores)
-    assert solver._overlaps_lift(full, sketch, restarts) is overlaps
-
-
-@pytest.mark.parametrize("cores, r, restarts", [
-    (2, OVERLAP_R, 4),  # restarts past the first one entry short of the floor
-    (1, OVERLAP_R, OVERLAP_RESTARTS),  # no idle core
-    (2, 64, OVERLAP_RESTARTS),  # the sketch, 64 x 2048, reaches the floor
-])
-def test_the_overlap_runs_only_where_its_gate_holds(monkeypatch, cores, r, restarts):
-    def overlap(*args):
-        raise AssertionError("the lift overlapped the solve")
-
-    data, _ = generate_synthetic(OVERLAP_DATA)
-    spec = RandomSpec("gaussian", reduced_dim=r, ambient_dim=128, seed=0)
-    monkeypatch.setattr(pipeline, "_solve_and_lift", overlap)
-    use_cores(monkeypatch, cores)
-    report = reduce_solve_lift(data, spec, 3, 2, SolverConfig(restarts=restarts))
-    assert not report.reduced_certified_optimal
+    assert [s for s in svd_shapes if s[-2] == LIFT_DATA.ambient_dim] == []
