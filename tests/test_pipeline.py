@@ -304,8 +304,8 @@ LIFT_DATA = SyntheticSpec(ambient_dim=128, n_subspaces=3, max_dim=2,
 LIFT_R, LIFT_RESTARTS = 16, 5
 
 
-def lift_sketch(seed):
-    return RandomSpec("gaussian", reduced_dim=LIFT_R, ambient_dim=128, seed=seed)
+def lift_sketch(seed, r=LIFT_R):
+    return RandomSpec("gaussian", reduced_dim=r, ambient_dim=128, seed=seed)
 
 
 def use_cores(monkeypatch, cores):
@@ -366,9 +366,9 @@ def both_paths(monkeypatch, data, spec, *args, **kwargs):
 def test_one_and_two_cores_lift_alike(monkeypatch, seed, stop_below, r):
     data, _ = generate_synthetic(LIFT_DATA)
     assert data.points.size == 2 * solver.PARALLEL_MIN_FLOATS
-    spec = RandomSpec("gaussian", reduced_dim=r, ambient_dim=128, seed=seed)
     cfg = SolverConfig(restarts=LIFT_RESTARTS, seed=seed, stop_below=stop_below)
-    one, two, lifts = both_paths(monkeypatch, data, spec, 3, 2, cfg, epsilon=0.5, e0=0.01)
+    one, two, lifts = both_paths(
+        monkeypatch, data, lift_sketch(seed, r), 3, 2, cfg, epsilon=0.5, e0=0.01)
     assert_lift_reports_equal(two, one)
     assert lifts == 1
     assert one.bound_value is not None
