@@ -104,7 +104,7 @@ def run_trial(
     if reduction.r is not None:
         r, epsilon = reduction.r, reduction.epsilon
     else:
-        d = data.numerical_rank
+        d = max(data.numerical_rank, max_dim)  # rank below k: fits as at d = k
         r = min_reduced_dim(
             reduction.eta, reduction.delta, n_subspaces, d, max_dim, data.count
         )

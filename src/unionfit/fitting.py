@@ -127,7 +127,7 @@ def squared_norms(points: np.ndarray, gram: np.ndarray | None = None):
 
 
 def gram_screen(
-    points: np.ndarray, gram: np.ndarray, members: np.ndarray, k: int, norms=None
+    points: np.ndarray, gram: np.ndarray, members: np.ndarray, k: int, norms
 ) -> tuple[np.ndarray, np.ndarray]:
     """``best_subspace_residuals`` approximated from Gram eigenpairs, with
     a bound on each row's error: the one Gram-eigen kernel, which fits
@@ -138,7 +138,7 @@ def gram_screen(
     ``DataSet.gram``), the cheaper input when the slices are at most N
     wide, or the B x N x N stack of the slices' own Gram matrices X X^T.
     ``norms`` is ``squared_norms(points, F^T F or None)``, taken from the
-    same form of Gram data; when omitted it is computed here.
+    same form of Gram data.
     Row b of ``rows`` holds each column's squared norm less its squared
     projection onto the top t = min(k, width) eigenvectors of slice b's
     Gram matrix, clamped at 0: its w x w block of F^T F (one stacked
@@ -191,8 +191,6 @@ def gram_screen(
     """
     n_rows, count = points.shape
     size = n_rows + count
-    if norms is None:
-        norms = squared_norms(points, gram if gram.ndim == 2 else None)
     norms, fro2 = norms
 
     def bound(s):  # d(s) of the docstring, times c (N + m)

@@ -242,7 +242,9 @@ def lift(data: DataSet, report: SolveReport, n_subspaces: int, max_dim: int,
     lifted_error = bundle_error(data, lifted)
     bound = satisfied = informative = None
     if e0 is not None and epsilon is not None:
-        bound = theorem_bound(e0, epsilon, n_subspaces, data.numerical_rank, max_dim)
+        # Data of rank below k fits every group exactly: d = k, a zero term.
+        d = max(data.numerical_rank, max_dim)
+        bound = theorem_bound(e0, epsilon, n_subspaces, d, max_dim)
         satisfied = bool(lifted_error <= bound + BOUND_SLACK)
         informative = bool(bound < data.frobenius_norm**2)
     return LiftReport(

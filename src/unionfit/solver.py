@@ -5,7 +5,6 @@ instances."""
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -45,9 +44,10 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # most ORACLE_BATCH_FLOATS // (m^2 + l (k + 1) m) labelings where the rule
 # holds, a number that does not fall as N grows past m / l, else
 # ORACLE_BATCH_FLOATS // (l (N^2 + (k + 1) m)).
-# Each thread takes an equal share of the canonical labelings, cut into as
-# few blocks as that cap allows; labelings within one thread's share of
-# the cap (the cap over the thread count) stay one block and start no
+# Each thread takes an equal share of the ranks of the canonical labelings,
+# cut into as few blocks as that cap allows, and decodes a block's labels
+# (m ints a labeling) itself; labelings within one thread's share of the
+# cap (the cap over the thread count) stay one block and start no
 # thread.  The labelings that pass the screen are scored exactly in chunks
 # of ORACLE_BATCH_FLOATS // (l N m), since the exact path stacks l slices,
 # bases and residual tables of N x m per labeling.  Blocks amortize the
@@ -349,7 +349,7 @@ def solve_best_model(
 
     _fit_gram(data, n_subspaces)  # formed once, not raced for by threads
     workers = _restart_workers(data.points.size, restarts)
-    used = _run_threaded(lambda r, _: run_restart(r), range(restarts), workers)
+    used = _run_threaded(run_restart, restarts, workers)
     # Threads may have run restarts past the one that stopped the solve;
     # drop them, and their refits, as the sequential loop never ran them.
     runs = runs[:used]
@@ -410,15 +410,23 @@ def _restart_workers(n_floats: int, restarts: int) -> int:
     return 1 if n_floats < PARALLEL_MIN_FLOATS else _workers(restarts)
 
 
-def _canonical_count(count: int, n_groups: int) -> int:
-    """Canonical labelings of ``count`` points into at most ``n_groups``
-    groups: the sum over j <= l of the Stirling numbers S(m, j)."""
-    if n_groups == 1:  # any m is within the budget; the loop takes m steps
-        return 1
-    row = [1] + [0] * n_groups  # S(i, j), j = 0 .. l
-    for _ in range(count):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n_groups + 1)]
-    return sum(row)
+def _completions(count: int, n_groups: int) -> np.ndarray:
+    """The count table of the canonical labelings of ``count`` points into
+    at most ``n_groups`` groups: ``table[i, j]`` (int64) counts the
+    completions of the last i positions after a prefix whose top label is
+    j.  A next label repeats one of the j + 1 used ones or opens j + 1, so
+    table[i, j] = (j + 1) table[i - 1, j] + table[i - 1, j + 1], with
+    table[i, l] = 0; ``table[m - 1, 0]`` is their number S.  The budget,
+    l^m <= 2^63 - 1, keeps every entry within int64."""
+    table = np.zeros((count, n_groups + 1), dtype=np.int64)
+    if n_groups == 1:  # all zeros, the one completion; any m is in budget
+        table[:, 0] = 1
+        return table
+    table[0, :-1] = 1
+    repeats = np.arange(1, n_groups + 1)
+    for i in range(1, count):
+        table[i, :-1] = repeats * table[i - 1, :-1] + table[i - 1, 1:]
+    return table
 
 
 def _oracle_plan(
@@ -439,7 +447,7 @@ def _oracle_plan(
         screened = n_groups * ambient_dim**2 + rows
     exact = n_groups * ambient_dim * count
     per_block = max(1, ORACLE_BATCH_FLOATS // screened)
-    labelings = _canonical_count(count, n_groups)
+    labelings = int(_completions(count, n_groups)[-1, 0])
     threads = _workers(labelings)
     if labelings * threads <= per_block:
         threads = 1
@@ -449,40 +457,38 @@ def _oracle_plan(
     return size, max(1, ORACLE_BATCH_FLOATS // exact), workers
 
 
-def _run_threaded(run, tasks, workers: int) -> int:
-    """Call ``run(i, task)`` for each ``(i, task)`` of ``enumerate(tasks)``
-    on ``workers`` threads, the calling thread among them (alone, starting
-    no thread, when ``workers == 1``), until the tasks run out or a call
-    returns True.  Each thread draws the next task under a lock, so
-    ``tasks`` may be a generator.  Returns the count of tasks the
-    sequential loop runs: one past the lowest index whose call returned
-    True, else the number of tasks.  An exception raised in any call
-    propagates to the caller once every thread has finished its task."""
+def _run_threaded(run, count: int, workers: int) -> int:
+    """Call ``run(i)`` for i = 0 ... ``count`` - 1 on ``workers`` threads,
+    the calling thread among them (alone, starting no thread, when
+    ``workers == 1``), until the indices run out or a call returns True.
+    Each thread draws the next index under a lock.  Returns the count of
+    calls the sequential loop makes: one past the lowest index whose call
+    returned True, else ``count``.  An exception raised in any call
+    propagates to the caller once every thread has finished its call."""
     lock = threading.Lock()
-    source = enumerate(tasks)
     handed = 0
-    stop = sys.maxsize  # no index at or past this one is handed out
+    stop = count  # no index at or past this one is handed out
 
     def work() -> None:
         nonlocal handed, stop
         try:
             while True:
                 with lock:
-                    item = next(source, None) if handed < stop else None
-                    if item is None:
+                    if handed >= stop:
                         return
+                    i = handed
                     handed += 1
-                if run(*item):
+                if run(i):
                     with lock:
-                        stop = min(stop, item[0] + 1)
+                        stop = min(stop, i + 1)
         except BaseException:
             with lock:
-                stop = 0  # the other threads finish their task and quit
+                stop = 0  # the other threads finish their call and quit
             raise
 
     if workers == 1:  # no pool, nor concurrent.futures' import of logging
         work()
-        return min(stop, handed)
+        return stop
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
@@ -490,7 +496,7 @@ def _run_threaded(run, tasks, workers: int) -> int:
         work()
         for helper in helpers:
             helper.result()
-    return min(stop, handed)
+    return stop
 
 
 def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
@@ -498,53 +504,30 @@ def within_budget(n_subspaces: int, count: int, budget: int) -> bool:
     return n_subspaces**count <= budget
 
 
-def _canonical_labelings(count: int, n_groups: int, size: int):
-    """Restricted-growth strings in lexicographic order, in blocks of
-    ``size``.
-
-    A labeling is canonical when each label first appears after every
-    smaller label (Knuth, TAOCP 4A, 7.2.1.5), that is when no label is
-    more than one above the largest label before it.  It is the
-    lexicographically first labeling of its class under permutations of
-    the group labels, and each class has exactly one.  The canonical
-    labelings are those among the base-l digits of 0 ... l^(m-1) - 1,
-    made as int64 in chunks of about ``ORACLE_BATCH_FLOATS / 4`` digits,
-    since a chunk's digits, their prefix maxima, the test's result and
-    the kept copy take about four times that; an enumeration budget keeps
-    l^m within int64.  The numbers of a chunk share the leading digits of
-    its first and last number, so a chunk whose shared digits already fail
-    the test is skipped unmade; from l = 4 on, most chunks fail.  Yields
-    int arrays of shape (size, count), the last one possibly shorter.
-    """
-    total = n_groups ** (count - 1)
-    powers = n_groups ** np.arange(count - 1, -1, -1)
-    step = max(1, ORACLE_BATCH_FLOATS // (4 * count))
-    kept = np.empty((0, count), dtype=int)
-
-    def digits_of(numbers):  # a row per position
-        digits = numbers // powers[:, None]
-        digits %= n_groups
-        return digits
-
-    def growth_ok(digits):  # per column: no digit above its prefix's max + 1
-        top = np.maximum.accumulate(digits, axis=0)
-        top += 1
-        return np.all(digits[1:] <= top[:-1], axis=0)
-
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        ends = digits_of(np.array([start, stop - 1]))
-        shared = np.cumprod(ends[:, 0] == ends[:, 1]).sum()
-        if not growth_ok(ends[:shared])[0]:
-            continue
-        digits = digits_of(np.arange(start, stop))
-        canonical = growth_ok(digits)
-        kept = np.concatenate([kept, digits[:, canonical].T])
-        while len(kept) >= size:
-            yield kept[:size]
-            kept = kept[size:]
-    if len(kept):
-        yield kept
+def _canonical_labelings(table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The canonical labelings of ranks ``start`` ... ``stop`` - 1, as an
+    int array of shape (stop - start, m), decoded with ``_completions``'s
+    table.  A labeling is canonical when no label is more than one above
+    the largest label before it (a restricted-growth string, Knuth, TAOCP
+    4A, 7.2.1.5): the lexicographically first of its class under
+    permutations of the group labels.  Ranked in lexicographic order, the
+    completions of a prefix whose top label is ``top`` are one range: each
+    next label up to ``top`` takes ``each = table[rest, top]`` ranks, with
+    ``rest`` positions after it, and ``top + 1`` the rest.  Once every rank
+    is 0, the remaining labels are 0."""
+    count = len(table)
+    rank = np.arange(start, stop, dtype=np.int64)
+    labels = np.zeros((rank.size, count), dtype=int)
+    top = np.zeros_like(rank)
+    for position in range(1, count):
+        if not rank.any():
+            break
+        each = table[count - 1 - position, top]
+        label = np.minimum(rank // each, top + 1)
+        rank -= label * each
+        labels[:, position] = label
+        np.maximum(top, label, out=top)
+    return labels
 
 
 def brute_force_oracle(
@@ -557,17 +540,17 @@ def brute_force_oracle(
 
     Every labeling is fitted and evaluated with the reassigned bundle
     error, so the returned value is the true minimum over all bundles.
-    Relabeling the groups permutes the fitted subspaces and the rows of
-    the distance table, which leaves the error bit-identical, so only one
+    Relabeling the groups permutes the fitted subspaces and the rows of the
+    distance table, which leaves the error bit-identical, so only one
     canonical labeling per permutation class is scored: sum over j <= l of
-    S(m, j), about l^m / l!.  The first strict minimum in lexicographic
-    order is canonical, so the result equals that of all l^m labelings.
-    The budget still counts l^m, and is at most 2^63 - 1.  The winner is
-    refitted by ``_svd_refit``: the returned partition is the
-    nearest-subspace assignment under the optimal bundle, which also
-    generates that bundle (up to numerical error), and the error sums that
-    assignment's distances, which is ``bundle_error`` of the bundle bit
-    for bit.
+    S(m, j), about l^m / l!, ranked 0 ... S - 1 in lexicographic order
+    (``_canonical_labelings``).  The first strict minimum in that order is
+    canonical, so the result equals that of all l^m labelings.  The budget
+    still counts l^m, and is at most 2^63 - 1.  The winner is refitted by
+    ``_svd_refit``: the returned partition is the nearest-subspace
+    assignment under the optimal bundle, which also generates that bundle
+    (up to numerical error), and the error sums that assignment's
+    distances, which is ``bundle_error`` of the bundle bit for bit.
 
     Each block is first screened on the Gram matrix: ``fitting.gram_screen``
     gives every labeling an approximate error and a slack that bounds its
@@ -583,20 +566,17 @@ def brute_force_oracle(
     path stacks and a block by what the screen stacks.  The screen reads
     blocks of ``data.gram`` (F^T F) exactly where alternating minimization
     does, where ``_reads_gram`` holds, so a block does not shrink as N
-    grows past m / l; else each group's X X^T.  Each thread takes an equal
-    share of the canonical labelings, cut into as few blocks of one size
-    as the cap allows, and labelings within one thread's share of the cap
-    stay one block (``_oracle_plan``).
+    grows past m / l; else each group's X X^T.  A block is a range of
+    ranks, of one size but the last (``_oracle_plan``).
 
     Blocks are scored by ``_run_threaded`` on ``cores // blas_threads``
     threads, at most one per block, so one block starts no thread.  The
-    threads share only the running cut.  A labeling's score does not
-    depend on its block or chunk; each block records its first strict
-    minimum, its chunks compared in order, under its block index, and once
-    every block is scored the winner is the least (error, block index), as
-    ``solve_best_model`` picks among its restarts.  So every field of the
-    report is bit-identical to the one-thread run's.  An exception in a
-    block propagates to the caller.
+    thread that draws block b decodes its ranks itself, under the lock the
+    threads share.  They share the running cut and the least (exact error,
+    rank) scored so far, the first strict minimum in lexicographic order
+    whatever the schedule, so every field of the report is bit-identical
+    to the one-thread run's.  The winner is decoded from its rank.  An
+    exception in a block propagates to the caller.
     """
     check_model_dims(n_subspaces, max_dim, data.count, data.ambient_dim)
     check_data_scale(data.frobenius_norm)
@@ -615,13 +595,19 @@ def brute_force_oracle(
     size, chunk, workers = _oracle_plan(
         data.count, data.ambient_dim, n_subspaces, max_dim
     )
-    # Each block's least exact error and its labels, by block index; ``cut``,
-    # the least screened upper bound so far, is all the threads share.
-    found = {}
-    cut = [np.inf]
+    table = _completions(data.count, n_subspaces)
+    total = int(table[-1, 0])
+    # What the threads share, under ``lock``: ``cut``, the least screened
+    # upper bound so far, and ``best``, the least (exact error, rank).
+    cut = np.inf
+    best = (np.inf, 0)
     lock = threading.Lock()
 
-    def score(i: int, labels: np.ndarray) -> bool:
+    def score(block: int) -> bool:
+        nonlocal cut, best
+        start = block * size
+        with lock:  # decoding beside another thread's Python ran 2-4% slower
+            labels = _canonical_labelings(table, start, min(total, start + size))
         shape = len(labels), n_subspaces, data.count
         members = (labels[:, None, :] == groups).reshape(-1, data.count)
         grams = gram if outer is None else (
@@ -630,23 +616,22 @@ def brute_force_oracle(
         approx = np.sum(np.min(rows.reshape(shape), axis=1), axis=1)
         slack = np.sum(slack.reshape(shape[:2]), axis=1)
         with lock:
-            cut[0] = min(cut[0], np.min(approx + slack))
-            near = np.flatnonzero(approx - slack <= cut[0])
+            cut = min(cut, np.min(approx + slack))
+            near = np.flatnonzero(approx - slack <= cut)
         members = members.reshape(shape)
-        for start in range(0, near.size, chunk):
-            window = near[start : start + chunk]
-            table = best_subspace_residuals(
+        for first in range(0, near.size, chunk):
+            window = near[first : first + chunk]
+            exact = best_subspace_residuals(
                 points, members[window].reshape(-1, data.count), max_dim
             )
-            table = table.reshape(window.size, n_subspaces, data.count)
-            errors = np.sum(np.min(table, axis=1), axis=1)
+            exact = exact.reshape(window.size, n_subspaces, data.count)
+            errors = np.sum(np.min(exact, axis=1), axis=1)
             j = int(np.argmin(errors))
-            if i not in found or errors[j] < found[i][0]:
-                found[i] = errors[j], labels[window[j]]
+            with lock:
+                best = min(best, (errors[j], start + int(window[j])))
         return False
 
-    _run_threaded(score, _canonical_labelings(data.count, n_subspaces, size),
-                  workers)
-    _, labels = found[min(sorted(found), key=lambda i: found[i][0])]
+    _run_threaded(score, -(-total // size), workers)
+    labels = _canonical_labelings(table, best[1], best[1] + 1)[0]
     bundle, partition, error = _svd_refit(data, Partition(labels, n_subspaces), max_dim)
     return SolveReport(bundle, partition, error, certified_optimal=True)

@@ -153,6 +153,29 @@ def test_reduce_solve_eta_mode(tmp_path):
     assert 0 < report["epsilon"] < 1
 
 
+@pytest.mark.parametrize("mode", [("--r", 3, "--epsilon", 0.5),
+                                  ("--eta", 0.5, "--delta", 0.1)],
+                         ids=["fixed-r", "eta-delta"])
+def test_a_trial_on_data_of_rank_below_k_checks_its_bound_at_d_equal_k(
+    tmp_path, capsys, mode
+):
+    """Eight points of rank 1 in R^5 with l = k = 2: every group fits
+    exactly, so a trial takes d = k, where the bound's sqrt(l (d - k))
+    term is 0, and e0 is 0 up to rounding.  ``unionfit bounds``, whose d
+    is an input, still refuses d < k."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "rank1.csv"
+    save_dataset(DataSet(np.outer(rng.normal(size=5), rng.normal(size=8))), data)
+    assert run_cli("reduce-solve", "--data", data, "-l", 2, "-k", 2, *mode) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["e0"] < 1e-30 and report["lifted_error"] < 1e-30
+    assert report["bound_value"] == (1 + report["epsilon"]) * report["e0"]
+    assert report["bound_satisfied"] is True
+    assert run_cli("bounds", "--e0", 0.1, "--epsilon", 0.5, "-l", 2, "-d", 1,
+                   "-k", 2) == 2
+    assert capsys.readouterr().err == "error: rank d=1 must be at least k=2\n"
+
+
 def test_readme_small_recipe_solves_the_identity_sketch_once(tmp_path, capsys):
     """README's small.csv with (eta, delta) derives r past N = 10: the
     reduced problem is the full one, so it is solved once and its error is
@@ -364,6 +387,107 @@ def test_invalid_dataset_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\nnot,a,number\n")
     assert run_cli("solve", "--data", bad, "--subspaces", 2, "--max-dim", 1) == 2
+
+
+def assert_refused(capsys, code, message, *argv):
+    """The CLI exits ``code`` with one ``error:`` line that names
+    ``message``, and no traceback."""
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+def test_dataset_files_skip_their_header_row_and_blank_lines(tmp_path, capsys):
+    """``--header`` skips a real header row, and blank lines are skipped
+    anywhere: the solve equals the one of the plain file."""
+    plain = generate_dataset(tmp_path, noise="0.05")
+    capsys.readouterr()
+    rows = plain.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("x0,x1,x2,x3,x4,x5\n\n" + "\n\n".join(rows) + "\n\n")
+    solves = []
+    for data, flags in ((plain, ()), (spaced, ("--header",))):
+        assert run_cli("solve", "--data", data, "-l", 2, "-k", 1, *flags) == 0
+        solves.append(capsys.readouterr().out)
+    assert solves[0] == solves[1]
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("", (), "no data rows"),
+    ("\n\n", (), "no data rows"),
+    ("x0,x1\n", ("--header",), "no data rows"),
+    ("1.0,2.0\n3.0\n", (), "rows have inconsistent column counts"),
+], ids=["empty", "blank", "header-only", "ragged"])
+def test_dataset_files_without_rows_or_with_ragged_rows_exit_2(
+    tmp_path, capsys, text, flags, message
+):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    assert_refused(capsys, 2, message, "solve", "--data", data, "-l", 2, "-k", 1,
+                   *flags)
+
+
+@pytest.mark.parametrize("config, message", [
+    ([], "config must be a JSON object"),
+    ({"dataset": {"url": "x.csv"}}, "unknown dataset source ['url']"),
+    ({"reduction": {"r": 3, "rr": 4}}, "bad reduction/solver section"),
+    ({"solver": {"restarts": 2, "restart": 4}}, "bad reduction/solver section"),
+], ids=["not-an-object", "unknown-source", "reduction-key", "solver-key"])
+def test_configs_that_config_from_dict_refuses_exit_2(
+    tmp_path, capsys, config, message
+):
+    path = _experiment_config(tmp_path)
+    if isinstance(config, dict):
+        config = {**json.loads(path.read_text()), **config}
+    path.write_text(json.dumps(config))
+    assert_refused(capsys, 2, message, "experiment", "--config", path)
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def corrupt_lifts(monkeypatch, **fields):
+    """Every lift of an experiment reports ``fields`` in place of its own;
+    a callable value maps the report to the field's value."""
+    real = unionfit.experiment.reduce_solve_lift
+
+    def corrupted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        for name, value in fields.items():
+            value = value(report) if callable(value) else value
+            object.__setattr__(report, name, value)
+        return report
+
+    monkeypatch.setattr(unionfit.experiment, "reduce_solve_lift", corrupted)
+
+
+@pytest.mark.parametrize("fields, detail", [
+    ({"reduced_error": math.nan}, "non-finite error"),
+    ({"e0": lambda report: report.lifted_error + 1.0},
+     "lifted error below the optimum"),
+], ids=["non-finite", "below-e0"])
+def test_experiment_hard_failures_exit_1(tmp_path, capsys, monkeypatch, fields,
+                                         detail):
+    corrupt_lifts(monkeypatch, **fields)
+    summary = tmp_path / "summary.json"
+    config = _experiment_config(
+        tmp_path, reduction={"r": 3, "epsilon": 0.5}, trials=2,
+        output={"rows": str(tmp_path / "rows.csv"), "summary": str(summary)})
+    assert run_cli("experiment", "--config", config) == 1
+    assert "hard failures 2" in capsys.readouterr().out
+    violations = json.loads(summary.read_text())["violations"]
+    assert violations["hard_detail"] == [f"trial {t}: {detail}" for t in (0, 1)]
+
+
+def test_experiment_counts_bound_violations_and_exits_0(tmp_path, capsys,
+                                                        monkeypatch):
+    """A violated probabilistic bound is counted, never a hard failure."""
+    corrupt_lifts(monkeypatch, bound_satisfied=False)
+    config = _experiment_config(tmp_path, reduction={"r": 3, "epsilon": 0.5},
+                                trials=2)
+    assert run_cli("experiment", "--config", config) == 0
+    out = capsys.readouterr().out
+    assert "bound checked on 2" in out and "bound violations 2" in out
+    assert "hard failures 0" in out
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])

@@ -293,6 +293,16 @@ def test_config_validation_errors():
         small_config(output="x")
 
 
+def test_experiment_config_needs_exactly_one_dataset_source():
+    """config_from_dict takes one source from its one-key dataset object;
+    a direct ExperimentConfig checks it itself."""
+    cfg = small_config(trials=0)
+    with pytest.raises(InvalidSpec, match="exactly one dataset source"):
+        replace(cfg, synthetic=None)  # neither
+    with pytest.raises(InvalidSpec, match="exactly one dataset source"):
+        replace(cfg, dataset_file="x.csv")  # both
+
+
 @pytest.mark.parametrize(
     "reduction",
     [

@@ -104,10 +104,11 @@ def screen_instance(form):
 
 
 @pytest.mark.parametrize("form", ["F^T F", "X X^T"])
-def test_gram_screen_given_its_norms_returns_its_own_arrays(form):
-    """The squared norms and their sum, computed once per search, give the
-    arrays the screen computes from the same Gram data itself, on flat,
-    untrusted and trusted slices."""
+def test_gram_screen_reads_the_squared_norms_of_its_gram_data(form):
+    """``squared_norms``, computed once per search, gives the diagonal of
+    F^T F, or the points' summed squares, and their sum; the screen's
+    flat row is those norms, with a finite slack, and some slices are
+    untrusted."""
     pts, gram, members = screen_instance(form)
     norms = squared_norms(pts, gram if gram.ndim == 2 else None)
     own_norms = np.diagonal(gram) if gram.ndim == 2 else np.sum(pts * pts, axis=0)
@@ -115,11 +116,9 @@ def test_gram_screen_given_its_norms_returns_its_own_arrays(form):
     assert norms[1] == np.sum(own_norms)
     untrusted = 0
     for k in range(4):  # k = 0: every slice is flat
-        own = gram_screen(pts, gram, members, k)
-        given = gram_screen(pts, gram, members, k, norms)
-        assert all(np.array_equal(a, b) for a, b in zip(own, given)), k
-        untrusted += np.count_nonzero(np.isinf(own[1]))
-        assert np.array_equal(own[0][0], norms[0]) and np.isfinite(own[1][0])
+        rows, slack = gram_screen(pts, gram, members, k, norms)
+        untrusted += np.count_nonzero(np.isinf(slack))
+        assert np.array_equal(rows[0], norms[0]) and np.isfinite(slack[0])
     assert untrusted
 
 

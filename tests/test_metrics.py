@@ -16,7 +16,7 @@ from unionfit import (
     group_error,
     partition_from_bundle,
 )
-from unionfit.metrics import nearest, residuals
+from unionfit.metrics import as_columns, nearest, residuals
 
 
 def axes_bundle():
@@ -312,3 +312,23 @@ def test_nearest_returns_the_entry_at_its_label_bit_for_bit():
         assert np.array_equal(labels, np.argmin(table, axis=0))
         expected = table[labels, np.arange(table.shape[1])]
         assert dist2.tobytes() == expected.tobytes()
+
+
+def test_column_inputs_are_refused_or_passed_through():
+    """A DataSet's own points pass through ``as_columns``; an array of
+    more than two axes, a matrix where ``dist2_to_subspace`` takes one
+    vector, and a basis that is not 2-d or spans no dimension are
+    refused; no columns have no error."""
+    data = DataSet(np.arange(6.0).reshape(3, 2))
+    assert as_columns(data) is data.points
+    with pytest.raises(DimensionMismatch, match="matrix of columns"):
+        as_columns(np.zeros((2, 2, 2)))
+    v = Subspace(np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(DimensionMismatch, match="expected a vector"):
+        dist2_to_subspace(np.ones((3, 1)), v)
+    assert ek_min_error(np.empty((3, 0)), 1) == 0.0
+    with pytest.raises(DimensionMismatch, match="basis must be 2-d"):
+        Subspace(np.ones(3))
+    for basis in (np.empty((0, 0)), np.empty((0, 1))):
+        with pytest.raises(DimensionMismatch, match="at least 1"):
+            Subspace(basis)

@@ -885,9 +885,9 @@ def test_gram_is_formed_once_per_solve_and_only_where_groups_fit_in_n(
     threaded = []
     run_threaded = solver._run_threaded
 
-    def counted(run, tasks, workers):
+    def counted(run, count, workers):
         threaded.append(workers)
-        return run_threaded(run, tasks, workers)
+        return run_threaded(run, count, workers)
 
     monkeypatch.setattr(solver, "_run_threaded", counted)
     tall = DataSet(np.random.default_rng(5).normal(size=(600, 240)))
@@ -989,33 +989,33 @@ def test_unpinned_blas_starts_no_thread(monkeypatch):
 def test_one_worker_runs_the_sequential_loop_on_the_calling_thread(
     monkeypatch, stop_at, used
 ):
-    """One worker draws the tasks, a generator like the oracle's blocks, in
-    order on the calling thread, starts no thread, and returns the count
-    the sequential loop runs: one past the task whose call returns True."""
+    """One worker draws the indices in order on the calling thread, starts
+    no thread, and returns the count the sequential loop runs: one past
+    the index whose call returns True."""
     refuse_thread_starts(monkeypatch)
     caller = threading.current_thread()
     calls = []
 
-    def run(i, task):
-        calls.append((i, task, threading.current_thread()))
+    def run(i):
+        calls.append((i, threading.current_thread()))
         return i == stop_at
 
-    assert solver._run_threaded(run, (t * t for t in range(5)), 1) == used
-    assert calls == [(i, i * i, caller) for i in range(used)]
+    assert solver._run_threaded(run, 5, 1) == used
+    assert calls == [(i, caller) for i in range(used)]
 
 
 def test_one_worker_raises_in_the_caller_and_runs_no_further_task(monkeypatch):
     refuse_thread_starts(monkeypatch)
     calls = []
 
-    def run(i, task):
+    def run(i):
         calls.append(i)
         if i == 1:
             raise RuntimeError("task 1 failed")
         return False
 
     with pytest.raises(RuntimeError, match="task 1 failed"):
-        solver._run_threaded(run, range(5), 1)
+        solver._run_threaded(run, 5, 1)
     assert calls == [0, 1]
 
 
@@ -1096,8 +1096,18 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
     assert solver._cores() == 1
 
 
+def oracle_blocks(count, n_groups, size):
+    """The oracle's blocks of ``size`` canonical labelings: block b holds
+    the ranks b size ... min(S, (b + 1) size) - 1, decoded by
+    ``_canonical_labelings``."""
+    table = solver._completions(count, n_groups)
+    total = int(table[-1, 0])
+    return [solver._canonical_labelings(table, start, min(total, start + size))
+            for start in range(0, total, size)]
+
+
 def assert_labelings_match_the_successor_loop(count, n_groups, size):
-    ours = list(solver._canonical_labelings(count, n_groups, size))
+    ours = oracle_blocks(count, n_groups, size)
     every = np.concatenate(list(reference_canonical_labelings(count, n_groups, 64)))
     theirs = [every[start : start + size] for start in range(0, len(every), size)]
     assert len(ours) == len(theirs), (count, n_groups)
@@ -1109,24 +1119,31 @@ def assert_labelings_match_the_successor_loop(count, n_groups, size):
 @pytest.mark.parametrize("size", [1, 7, 136, 10**6])
 def test_canonical_labelings_match_the_successor_loop(size):
     """The labelings of the loop the enumeration replaced, in the same
-    order, cut into blocks of ``size`` labelings, the last one possibly
-    shorter (one block of all at ``size = 10**6``).  From l = 3, m = 10 and
-    l = 4, m = 8 the digits take several chunks."""
-    for count in range(1, 12):
-        for n_groups in range(1, 5):
+    order, cut into the oracle's blocks of ``size`` labelings, the last
+    one possibly shorter (one block of all at ``size = 10**6``), for m up
+    to 11 at l <= 4 and up to 10 at l = 5.  Blocks of one labeling are
+    decoded one rank at a time, so they stop at m = 8."""
+    for n_groups in range(1, 6):
+        for count in range(1, min(9 if size == 1 else 12, 16 - n_groups)):
             assert_labelings_match_the_successor_loop(count, n_groups, size)
 
 
-@pytest.mark.parametrize("floats, max_count", [(1, 7), (300, 9), (1000, 9)])
-def test_canonical_labelings_skip_no_live_chunk(monkeypatch, floats, max_count):
-    """Small digit chunks share long prefixes, so many are skipped as dead
-    (one number per chunk at ``floats = 1``); the blocks must not change,
-    whether a block is cut from one chunk or gathered from many."""
-    monkeypatch.setattr(solver, "ORACLE_BATCH_FLOATS", floats)
-    for count, n_groups, size in itertools.product(
-        range(1, max_count + 1), (4, 5), (13, 1000)
-    ):
-        assert_labelings_match_the_successor_loop(count, n_groups, size)
+@pytest.mark.parametrize("n_groups", [1, 2, 3, 4, 5])
+def test_canonical_labelings_decode_single_ranks(n_groups):
+    """Random access: rank r alone, ``(r, r + 1)``, decodes to row r of
+    the successor loop, and ``table[m - 1, 0]`` counts its rows.  At
+    l = 1 every m, here 10^5, has one labeling, all zeros."""
+    for count in range(1, 11):
+        table = solver._completions(count, n_groups)
+        every = np.concatenate(list(reference_canonical_labelings(count, n_groups, 64)))
+        assert table.dtype == np.int64 and table[-1, 0] == len(every)
+        ranks = np.unique(np.linspace(0, len(every) - 1, 50).astype(int))
+        for r in ranks:
+            one = solver._canonical_labelings(table, r, r + 1)
+            assert one.shape == (1, count) and np.array_equal(one[0], every[r])
+    table = solver._completions(10**5, 1)
+    assert table[-1, 0] == 1
+    assert not solver._canonical_labelings(table, 0, 1).any()
 
 
 def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
@@ -1149,9 +1166,9 @@ def oracle_one_and_two_threads(monkeypatch, data, n_groups, k, per_block=4,
     screen = solver.gram_screen
     score = solver.best_subspace_residuals
 
-    def counted(run, tasks, n_workers):
+    def counted(run, count, n_workers):
         workers.append(n_workers)
-        return run_threaded(run, tasks, n_workers)
+        return run_threaded(run, count, n_workers)
 
     def screen_sized(points, gram, members, k, norms):
         screened.append(len(members))
@@ -1377,8 +1394,7 @@ def test_oracle_block_plan(count, n_groups, per_block, cores):
     with pytest.MonkeyPatch.context() as monkeypatch:
         pin_blas(monkeypatch, cores=cores)
         size, _, workers = plan_at_cap(monkeypatch, count, n_groups, per_block)
-        sizes = [len(block) for block in
-                 solver._canonical_labelings(count, n_groups, size)]
+        sizes = [len(block) for block in oracle_blocks(count, n_groups, size)]
     total = canonical_count(count, n_groups)
     threads = min(cores, total)
     assert sum(sizes) == total
@@ -1402,7 +1418,7 @@ def test_oracle_block_plan_at_the_benchmark_shape(monkeypatch):
     for threads, n in ((None, 20), ("1", 20), ("1", 4)):
         pin_blas(monkeypatch, threads=threads)
         size, _, workers = solver._oracle_plan(12, n, 2, 1)
-        sizes = [len(block) for block in solver._canonical_labelings(12, 2, size)]
+        sizes = [len(block) for block in oracle_blocks(12, 2, size)]
         plans[threads, n] = sizes, workers
     assert plans[None, 20] == ([1024] * 2, 1)
     assert plans["1", 20] == ([1024] * 2, 2)
@@ -1518,7 +1534,8 @@ def assert_screen_within_slack(data, n_groups, k, labels=None):
         -1, data.count)
     exact = fitting.best_subspace_residuals(points, members, k)
     for gram in screen_grams(points, members):
-        rows, slack = fitting.gram_screen(points, gram, members, k)
+        norms = fitting.squared_norms(points, gram if gram.ndim == 2 else None)
+        rows, slack = fitting.gram_screen(points, gram, members, k, norms)
         assert np.all(rows >= 0)
         assert np.all(np.sum(np.abs(rows - exact), axis=1) <= slack)
         shape = len(labels), n_groups, data.count
