@@ -40,11 +40,12 @@ class InvalidSpec(UnionFitError):
 class BudgetExceeded(UnionFitError):
     """Exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, n_subspaces: int, count: int, budget: int):
+        # l^m is named, not written out: it may have thousands of digits.
         super().__init__(
-            f"enumeration needs {required} assignments, budget is {budget}"
+            f"enumeration needs {n_subspaces}^{count} assignments, budget is {budget}"
         )
-        self.required = required
+        self.required = n_subspaces**count
         self.budget = budget
 
 

@@ -94,7 +94,8 @@ def run_trial(
     """One sketch/solve/lift trial on unit-Frobenius ``data``.
 
     r and the bound epsilon come from ``reduction`` (fixed r, or the
-    closed-form minimum for (eta, delta)) before any solve, and e0 from
+    closed-form minimum for (eta, delta)) before any solve, and the model
+    is checked against the sketch's r before e0 is certified; e0 comes from
     ``solver_cfg.certify`` (None past the oracle budget), or from
     ``certify``, called the same way, when one is given.  A derived r of
     at least N would sketch by the identity, so the full-space report
@@ -109,10 +110,13 @@ def run_trial(
             reduction.eta, reduction.delta, n_subspaces, d, max_dim, data.count
         )
         epsilon = eta_admissibility_epsilon(reduction.eta, n_subspaces, d, max_dim)
+    sketched = reduction.r is not None or r < data.ambient_dim
+    if sketched:
+        check_model_dims(n_subspaces, max_dim, data.count, r)
 
     certified = (certify or solver_cfg.certify)(data, n_subspaces, max_dim)
     e0 = None if certified is None else certified.error
-    if reduction.r is None and r >= data.ambient_dim:
+    if not sketched:
         report = certified or solver_cfg.solve(data, n_subspaces, max_dim)
         return lift(data, report, n_subspaces, max_dim, data.ambient_dim, epsilon, e0)
     spec = RandomSpec(reduction.distribution, r, data.ambient_dim, seed=sketch_seed)

@@ -295,15 +295,11 @@ def _ritz_pairs(gram, t):
     through the same calls whatever its stack, so its pairs do not depend
     on it.
 
-    Two tests leave a matrix to ``eigh`` early.  The certificate below
-    needs theta_t > tr G - sum theta, while theta_t <= lambda_t <= ||G||_F
-    / sqrt(t) and sum theta <= sqrt(BLOCK) ||G||_F; so a matrix with tr G
-    >= (sqrt(BLOCK) + 1 / sqrt(t)) ||G||_F, as pure noise has, whose
-    spectrum has no gap, is never iterated.  After the second product G Q
-    the Ritz values of that Q are at hand: sin(theta) falls by about
-    theta_B / theta_t a step, so a matrix whose ratio to the BLOCK_STEPS-th
-    power is not below BLOCK_SIN_TOL, or whose theta_t is not above tr G -
-    sum theta, stops there.
+    One test leaves a matrix to ``eigh`` early: the certificate below
+    needs theta_t > tr G - sum theta, and a matrix whose Ritz values after
+    the second product G Q fail it, as pure noise's do, stops there.  (sum
+    theta still grows with the steps, so this test may drop a matrix that
+    BLOCK_STEPS steps would certify.)
     For the rest, with R = G Q - Q H, Weyl's inequality on G in the basis
     [Q, Q_perp] bounds lambda_{t+1} by ub = max(theta_{t+1}, tr G - sum
     theta) + ||R||_F, since the block of G on Q_perp is positive
@@ -320,10 +316,7 @@ def _ritz_pairs(gram, t):
     are not iterated.
     """
     trace = np.trace(gram, axis1=1, axis2=2)
-    flat = gram.reshape(len(gram), 1, -1)
-    fro = np.sqrt(flat @ np.swapaxes(flat, 1, 2)).ravel()  # ||G||_F
-    which = np.flatnonzero(
-        (t > 0) & (trace < (np.sqrt(BLOCK) + 1 / np.sqrt(np.maximum(t, 1))) * fro))
+    which = np.flatnonzero(t > 0)
     if not which.size:
         return None
     if which.size < len(t):
@@ -334,9 +327,7 @@ def _ritz_pairs(gram, t):
         if step == 1:  # the second product's Ritz values, ascending
             theta = np.linalg.eigvalsh(np.swapaxes(q, 1, 2) @ y)
             theta_t = theta[np.arange(which.size), BLOCK - t[which]]
-            keep = np.flatnonzero(
-                (theta[:, 0] < BLOCK_SIN_TOL ** (1 / BLOCK_STEPS) * theta_t)
-                & (theta_t > trace[which] - np.sum(theta, axis=1)))
+            keep = np.flatnonzero(theta_t > trace[which] - np.sum(theta, axis=1))
             if not keep.size:
                 return None
             if keep.size < which.size:

@@ -582,7 +582,7 @@ def brute_force_oracle(
     check_data_scale(data.frobenius_norm)
     require_budget("budget", budget, error=OutOfRange)
     if not within_budget(n_subspaces, data.count, budget):
-        raise BudgetExceeded(n_subspaces**data.count, budget)
+        raise BudgetExceeded(n_subspaces, data.count, budget)
 
     points = data.points
     gram = _fit_gram(data, n_subspaces)

@@ -106,6 +106,37 @@ def test_oracle_command_and_budget_exit_code(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("n_subspaces", [2, 4])
+def test_an_oracle_far_past_its_budget_exits_3_with_one_short_line(
+    tmp_path, capsys, n_subspaces
+):
+    """l^m is named, not written out: 4^8000 has more digits than Python
+    converts to a string, and 2^8000 has 2,409."""
+    data = tmp_path / "long.csv"
+    save_dataset(DataSet(np.random.default_rng(3).normal(size=(3, 8000))), data)
+    assert run_cli("oracle", "--data", data, "-l", n_subspaces, "-k", 1) == 3
+    err = capsys.readouterr().err
+    budget = SolverConfig().oracle_budget
+    assert err == (f"error: enumeration needs {n_subspaces}^8000 assignments, "
+                   f"budget is {budget}\n")
+    assert len(err) < 200
+
+
+def test_reduce_solve_refuses_a_sketch_too_small_for_k_before_any_oracle(
+    tmp_path, capsys, monkeypatch
+):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(unionfit.pipeline, "brute_force_oracle", oracle)
+    data = tmp_path / "data.csv"
+    assert run_cli("generate", "--ambient-dim", 50, "-m", 18, "-l", 2, "-k", 3,
+                   "--out", data) == 0
+    capsys.readouterr()
+    assert_refused(capsys, 2, "need 0 <= max_dim < N, got 3 for N=3",
+                   "reduce-solve", "--data", data, "--r", 3, "-l", 2, "-k", 3)
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--budget", 2**63),
     ("reduce-solve", "--data", "DATA", "-l", 2, "-k", 1, "--r", 3,

@@ -206,6 +206,31 @@ def test_ritz_certificate_holds_when_the_iteration_stops_early(monkeypatch):
     assert kept >= 8
 
 
+@pytest.mark.parametrize("n", [fitting.BLOCK_MIN_ORDER, 200])
+def test_ritz_pairs_keep_no_matrix_whose_trace_outweighs_its_frobenius_norm(n):
+    """At the default settings the block iteration keeps no matrix with tr
+    G >= (sqrt(BLOCK) + 1 / sqrt(t)) ||G||_F, as noisy ones have: its
+    certificate needs theta_t > tr G - sum theta, while theta_t <= ||G||_F
+    / sqrt(t) and sum theta <= sqrt(BLOCK) ||G||_F, so the trace test after
+    the second product drops them.  Low-noise matrices are kept."""
+    rng = np.random.default_rng(59)
+    basis = np.linalg.qr(rng.normal(size=(n, 3)))[0]
+    stack = []
+    for sigma in (0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
+        x = basis @ rng.normal(size=(3, 250)) + sigma * rng.normal(size=(n, 250))
+        stack.append(x @ x.T)
+    x = rng.normal(size=(n, 250))  # pure noise
+    stack.append(x @ x.T)
+    gram = np.array(stack)
+    trace = np.trace(gram, axis1=1, axis2=2)
+    fro = np.linalg.norm(gram, axis=(1, 2))
+    for t in (1, 2, 3):
+        noisy = trace >= (np.sqrt(fitting.BLOCK) + 1 / np.sqrt(t)) * fro
+        out = fitting._ritz_pairs(gram, np.full(len(gram), t))
+        assert out is not None and len(out[0]) >= 3
+        assert noisy.sum() >= 2 and not noisy[out[0]].any()
+
+
 @pytest.mark.parametrize("form", ["short", "tall", "above the floor"])
 def test_am_rows_match_svd_fit(ritz_rows, form):
     """Alternating minimization's rows, from the Gram kernel and its SVD
