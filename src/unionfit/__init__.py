@@ -67,7 +67,6 @@ from .solver import (
     SolveReport,
     alternate_minimize,
     brute_force_oracle,
-    random_partition,
     solve_best_model,
 )
 from .synthetic import GroundTruth, SyntheticSpec, generate_synthetic
@@ -124,7 +123,6 @@ __all__ = [
     "min_reduced_dim",
     "normalize_dataset",
     "partition_from_bundle",
-    "random_partition",
     "reduce_solve_lift",
     "run_experiment",
     "run_trial",

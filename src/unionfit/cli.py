@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import BudgetExceeded, UnionFitError
+from .errors import BudgetExceeded, UnionFitError, require_output_path
 from .experiment import (
     ROW_FIELDS,
     ReductionConfig,
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "truth", None)):
+            if path is not None:
+                require_output_path(path)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

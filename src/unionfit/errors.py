@@ -5,6 +5,7 @@ value a caller can set.  A rule raises the class its caller passes:
 import math
 import numbers
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +108,15 @@ def require_choice(name: str, value, choices: tuple, error=InvalidSpec):
     """One of the strings ``choices``."""
     if not isinstance(value, str) or value not in choices:
         raise error(f"unknown {name} {value!r}; expected one of {choices}")
+
+
+def require_output_path(path, error=InvalidSpec):
+    """A file to write: its parent is a directory and it is not one itself."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise error(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise error(f"output path {path} is a directory")
 
 
 def require_acts_on(matrix, dim: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import (
     require_choice,
     require_instance,
     require_int,
+    require_output_path,
     require_unit_interval,
 )
 from .io import load_dataset
@@ -305,11 +306,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     (non-finite or inconsistent errors, or a lifted error below e0 or
     above ||F||_F^2, the error of any bundle at 0), never for a violated
     probabilistic bound; those are merely counted.  An output path in a
-    missing directory raises ``InvalidSpec`` before any trial runs.
+    missing directory, or one that is a directory, raises ``InvalidSpec``
+    before any trial runs.
     """
     for path in (cfg.rows_path, cfg.summary_path):
-        if path is not None and not Path(path).parent.is_dir():
-            raise InvalidSpec(f"output directory {Path(path).parent} does not exist")
+        if path is not None:
+            require_output_path(path)
     t_start = time.perf_counter()
     file_data = None
     if cfg.dataset_file is not None:

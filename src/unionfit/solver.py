@@ -264,16 +264,54 @@ def _group_rows(points, gram, members, k, norms):
     return rows, slack
 
 
-def random_partition(
-    count: int, n_groups: int, seed: int, restart: int = 0
-) -> Partition:
-    """Uniformly random labeling of points, keyed by (seed, restart)."""
-    require_int("count", count, minimum=0, error=OutOfRange)
-    require_int("n_groups", n_groups, minimum=1, error=OutOfRange)
-    require_int("seed", seed, error=OutOfRange)
-    require_int("restart", restart, minimum=0, error=OutOfRange)
+def _line_seeds(data: DataSet, n_groups: int, seed: int, restart: int) -> Partition:
+    """Greedy D^2 seeding of l lines, keyed by (seed, restart), and each
+    point labeled by its nearest line (k-means++, Arthur & Vassilvitskii
+    2007, in its greedy form, carried over to k-plane clustering).
+
+    The first line goes through a point drawn with weight ||f||^2.  Each
+    further line takes, out of 2 + floor(ln l) points drawn with weight
+    their residual to the nearest line so far, ||f||^2 - (f^T g)^2 / ||g||^2,
+    the one that lowers the summed residual most, the first drawn on a tie.
+    The rows f^T g are read from ``data.gram`` where ``_reads_gram`` holds,
+    else from one product with the points per candidate.  Once every
+    residual is 0 the remaining lines repeat the last one, and their groups
+    stay empty for alternating minimization to reseed; all-zero data gets
+    the labels 0, 1, ..., l - 1, 0, 1, ...
+    """
+    points = data.points
+    gram = _fit_gram(data, n_groups)
+    norms, total = squared_norms(points, gram)
+    if not total > 0:
+        return Partition(np.arange(data.count) % n_groups, n_groups)
     rng = np.random.default_rng([seed & SEED_MASK, restart])
-    return Partition(rng.integers(0, n_groups, size=count), n_groups)
+
+    def draw(weights: np.ndarray, size=None):
+        """Points drawn with probability proportional to ``weights`` (>= 0,
+        not all 0); one of weight 0 is never drawn, as u < 1 = cdf[-1].
+        ``Generator.choice(p=...)`` draws the same way, but its checks of
+        ``p`` made a 200-restart solve at m = 12 about 7% slower."""
+        cdf = np.cumsum(weights)
+        return np.searchsorted(cdf / cdf[-1], rng.random(size), side="right")
+
+    def residuals_to(j: int) -> np.ndarray:
+        """Each point's squared distance to the line through point j."""
+        row = gram[j] if gram is not None else points[:, j] @ points
+        proj = row / np.sqrt(norms[j])  # |proj| <= ||f||, so no overflow
+        return np.maximum(norms - proj * proj, 0.0)
+
+    lines = [residuals_to(draw(norms))]
+    dist = lines[0]
+    draws = 2 + int(np.log(n_groups))
+    for _ in range(1, n_groups):
+        if not dist.any():  # every point lies on a line drawn so far
+            lines.append(lines[-1])
+            continue
+        rows = [residuals_to(j) for j in draw(dist, draws)]
+        sums = [np.minimum(dist, row).sum() for row in rows]
+        lines.append(rows[int(np.argmin(sums))])
+        dist = np.minimum(dist, lines[-1])
+    return Partition(nearest(np.array(lines))[0], n_groups)
 
 
 def _relabeling_key(labels: np.ndarray) -> bytes:
@@ -295,10 +333,11 @@ def solve_best_model(
     max_iter: int = DEFAULT_MAX_ITER,
     stop_below: float | None = None,
 ) -> SolveReport:
-    """Best alternating-minimization result over seeded random restarts.
+    """Best alternating-minimization result over seeded restarts.
 
-    Restart r starts from a uniformly random labeling drawn from
-    (seed, r), so results are reproducible and independent of scheduling.
+    Restart r starts from the labels of l greedy D^2 line seeds drawn from
+    (seed, r) (``_line_seeds``), so results are reproducible and
+    independent of scheduling.
     With ``stop_below`` set, remaining restarts are skipped as soon as a
     model at or below that error is found (the result is still
     deterministic); by default all restarts run.
@@ -337,7 +376,7 @@ def solve_best_model(
 
     def run_restart(r: int) -> bool:
         """Run restart r; True when it ends the solve under stop_below."""
-        init = random_partition(data.count, n_subspaces, seed, r)
+        init = _line_seeds(data, n_subspaces, seed, r)
         run = runs[r] = alternate_minimize(
             data, n_subspaces, max_dim, init, tol=tol, max_iter=max_iter,
             refit=False,

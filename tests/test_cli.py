@@ -837,6 +837,60 @@ def test_experiment_output_in_a_missing_directory_exits_2_before_any_trial(
     assert not missing.parent.exists()
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before the output path was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--data", "DATA", "-l", 2, "-k", 1, "--out", "MISSING"),
+    ("solve", "--data", "DATA", "-l", 2, "-k", 1, "--out", "DIR"),
+    ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--out", "MISSING"),
+    ("oracle", "--data", "DATA", "-l", 2, "-k", 1, "--out", "DIR"),
+    ("reduce-solve", "--data", "DATA", "-l", 2, "-k", 1, "--r", 3, "--out", "DIR"),
+    ("bounds", "--epsilon", "0.5", "--out", "DIR"),
+    ("check-concentration", "--r", 4, "--ambient-dim", 6, "--epsilon", "0.5",
+     "--trials", 2, "--out", "MISSING"),
+    ("generate", "--ambient-dim", 6, "-l", 2, "-k", 1, "-m", 8, "--out", "DIR"),
+    ("generate", "--ambient-dim", 6, "-l", 2, "-k", 1, "-m", 8, "--out", "NEW",
+     "--truth", "MISSING"),
+    ("experiment", "--config", "CONFIG", "--summary", "DIR"),
+    ("experiment", "--config", "CONFIG", "--rows", "DIR"),
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_a_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   argv):
+    """An output path whose directory is missing, or that is a directory,
+    exits 2 with one error line before any data is loaded, drawn or
+    solved, and nothing is written."""
+    paths = {"DATA": generate_dataset(tmp_path), "CONFIG": _experiment_config(tmp_path),
+             "DIR": tmp_path / "dir", "MISSING": tmp_path / "missing" / "x.json",
+             "NEW": tmp_path / "new.csv"}
+    paths["DIR"].mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for name in ("load_dataset", "brute_force_oracle", "generate_synthetic",
+                 "empirical_concentration"):
+        monkeypatch.setattr(unionfit.cli, name, _no_work)
+    monkeypatch.setattr(unionfit.experiment, "run_trial", _no_work)
+    assert run_cli(*(paths.get(arg, arg) for arg in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("rows, n_groups, k", [
+    (["0,0,0"] * 5, 2, 1),  # all-zero data
+    (["1,0", "2,0", "3,0", "0,1"], 3, 1),  # fewer distinct lines than l
+], ids=["zero", "two-lines"])
+def test_solve_seeds_degenerate_data(tmp_path, capsys, rows, n_groups, k):
+    """Data with no l distinct lines to seed from still runs every restart."""
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert run_cli("solve", "--data", data, "-l", n_groups, "-k", k,
+                   "--restarts", 3) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["restarts_used"] == 3 and report["error"] == 0.0
+
+
 @pytest.mark.parametrize("dataset", [
     {"file": {"path": "DATA", "header": "no"}},
     {"file": {"path": "DATA", "hedaer": True}},

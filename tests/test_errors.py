@@ -23,6 +23,7 @@ from unionfit.errors import (
     require_budget,
     require_finite,
     require_int,
+    require_output_path,
     require_unit_interval,
 )
 
@@ -123,3 +124,13 @@ def test_check_data_scale_refuses_a_squared_norm_below_the_normal_range():
     for norm in (math.nextafter(least, 0.0), 1e-160, 5e-324):
         with pytest.raises(OutOfRange, match="below the normal.*--normalize"):
             check_data_scale(norm)
+
+
+def test_require_output_path_needs_a_directory_above_and_no_directory_at(tmp_path):
+    require_output_path(tmp_path / "new.json")
+    (tmp_path / "old.json").write_text("{}")
+    require_output_path(str(tmp_path / "old.json"))
+    with pytest.raises(InvalidSpec, match="missing does not exist"):
+        require_output_path(tmp_path / "missing" / "x.json")
+    with pytest.raises(OutOfRange, match="is a directory"):
+        require_output_path(tmp_path, error=OutOfRange)

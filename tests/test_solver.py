@@ -29,11 +29,18 @@ from unionfit import (
     ek_min_error,
     group_error,
     partition_from_bundle,
-    random_partition,
     solve_best_model,
 )
 from unionfit import fitting, solver
+from unionfit.model import SEED_MASK
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
+
+
+def random_partition(count, n_groups, seed, restart=0):
+    """A uniformly random labeling keyed by (seed, restart): the init of
+    the alternating-minimization cases below."""
+    rng = np.random.default_rng([seed & SEED_MASK, restart])
+    return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
 
 def naive_enumeration(points: np.ndarray, n_groups: int, k: int):
@@ -317,7 +324,7 @@ def test_solve_best_model_matches_reference_loop():
         best = None
         iterations = []
         for r in range(4):
-            init = random_partition(data.count, n_groups, 11, r)
+            init = solver._line_seeds(data, n_groups, 11, r)
             bundle, partition, errors, _ = reference_alternate_minimize(
                 data, n_groups, k, init
             )
@@ -366,7 +373,7 @@ def assert_solve_matches_refit_of_every_restart(
                               stop_below=stop_below)
     best = None
     for r in range(restarts):
-        init = random_partition(data.count, n_groups, seed, r)
+        init = solver._line_seeds(data, n_groups, seed, r)
         bundle, partition, errors, _ = loop(data, n_groups, k, init)
         if best is None or errors[-1] < best[0]:
             best = (errors[-1], bundle, partition, r)
@@ -385,7 +392,7 @@ def assert_solve_matches_refit_of_every_restart(
 
 def test_solve_best_model_refits_only_the_winner(monkeypatch):
     data = DataSet(np.random.default_rng(211).normal(size=(6, 20)))
-    runs = [alternate_minimize(data, 3, 2, random_partition(20, 3, 4, r),
+    runs = [alternate_minimize(data, 3, 2, solver._line_seeds(data, 3, 4, r),
                                refit=False) for r in range(6)]
     refits = count_refits(monkeypatch)
     report = solve_best_model(data, 3, 2, restarts=6, seed=4)
@@ -401,24 +408,24 @@ def test_solve_best_model_refits_only_the_winner(monkeypatch):
 
 def test_solve_best_model_relabelings_refit_once_first_wins(monkeypatch):
     # Restarts 1 and 5 stop at two labelings of one partition, the best
-    # one; restarts 0 and 2 stop 3e-5 relatively above it.
+    # one; restart 3 stops 3e-5 relatively above it.
     data = DataSet(np.random.default_rng(6).normal(size=(5, 12)))
-    runs = [alternate_minimize(data, 2, 1, random_partition(12, 2, 6, r),
+    runs = [alternate_minimize(data, 2, 1, solver._line_seeds(data, 2, 10, r),
                                refit=False) for r in range(6)]
     assert runs[1].error == runs[5].error
     assert not np.array_equal(runs[1].partition.labels, runs[5].partition.labels)
     assert np.array_equal(runs[1].partition.labels, 1 - runs[5].partition.labels)
     refits = count_refits(monkeypatch)
-    report = solve_best_model(data, 2, 1, restarts=6, seed=6)
+    report = solve_best_model(data, 2, 1, restarts=6, seed=10)
     assert len(refits) == 1
     assert np.array_equal(refits[0], runs[1].partition.labels)
     assert report.winner == 1
-    assert_solve_matches_refit_of_every_restart(data, 2, 1, 6, 6)
+    assert_solve_matches_refit_of_every_restart(data, 2, 1, 6, 10)
 
 
 def test_solve_best_model_exact_ties_keep_the_first_restart(monkeypatch):
     # With k = 0 every labeling scores the summed squared norms exactly;
-    # after one iteration each restart still holds its random labels, so
+    # after one iteration each restart still holds its seeded labels, so
     # several distinct labelings are refitted and tie exactly.
     data = DataSet(np.random.default_rng(5).normal(size=(3, 8)))
     refits = count_refits(monkeypatch)
@@ -446,7 +453,7 @@ def test_solve_best_model_rounding_level_ties_match_refit_of_every_restart(
     assert report.error <= 1e-25
     # Restart 0's Gram-fit error lies above its SVD-fit error.  With that
     # SVD error as stop_below, restart 0 must be refitted and end the solve.
-    first = random_partition(15, 3, 2, 0)
+    first = solver._line_seeds(data, 3, 2, 0)
     threshold = alternate_minimize(data, 3, 1, first).error
     assert alternate_minimize(data, 3, 1, first, refit=False).error > threshold
     report = assert_solve_matches_refit_of_every_restart(
@@ -504,7 +511,7 @@ def test_gram_fit_error_lies_within_its_slack(instance, seed, drawn):
     loops = [refitted_loop] + [reference_alternate_minimize] * generic
     stop_at = drawn.draw(st.integers(0, 3))
     threshold = alternate_minimize(
-        data, n_groups, k, random_partition(data.count, n_groups, seed, stop_at)
+        data, n_groups, k, solver._line_seeds(data, n_groups, seed, stop_at)
     ).error
     for loop in loops:
         report = assert_solve_matches_refit_of_every_restart(
@@ -672,24 +679,17 @@ def test_alternate_minimize_validates_inputs():
 
 
 # Each public solver entry point and the values it takes that SolverConfig
-# also validates (and, for random_partition, its other arguments), with the
-# values they refuse.
+# also validates, with the values they refuse.
 ENTRY_POINTS = {
     "solve_best_model": (lambda data, **bad: solve_best_model(
         data, 2, 1, restarts=3, **{"seed": 1, **bad}), ("seed", "tol", "stop_below")),
     "alternate_minimize": (lambda data, **bad: alternate_minimize(
         data, 2, 1, random_partition(12, 2, 1), **bad), ("tol",)),
-    "random_partition": (lambda data, **bad: random_partition(
-        **{"count": 12, "n_groups": 2, "seed": 1, **bad}),
-        ("seed", "count", "n_groups", "restart")),
 }
 BAD_VALUES = {
     "seed": [1.5, np.float64(1.0), None, True, "1"],
     "tol": [None, math.nan, math.inf, -1e-3, True, "1e-10"],
     "stop_below": ["a", math.nan, math.inf, -math.inf, True],
-    "count": [-1, 1.5, None, True],
-    "n_groups": [0, -1, 1.5, True],
-    "restart": [-1, 1.5, None, True],
 }
 
 
@@ -704,12 +704,6 @@ def test_solver_entry_points_refuse_bad_values(entry, name, value):
     data = DataSet(np.random.default_rng(0).normal(size=(5, 12)))
     with pytest.raises(OutOfRange, match=f"{name} must be"):
         ENTRY_POINTS[entry][0](data, **{name: value})
-
-
-def test_random_partition_takes_the_least_values_it_allows():
-    """No points, one group and restart 0 draw a valid labeling."""
-    assert random_partition(0, 1, 1, 0) == Partition(np.zeros(0, dtype=int), 1)
-    assert random_partition(5, 1, 1).labels.tolist() == [0] * 5
 
 
 def test_alternate_minimize_repairs_empty_groups():
@@ -777,6 +771,47 @@ def test_solve_best_model_stop_below_shortcut():
     rerun = solve_best_model(data, 2, 1, restarts=100, seed=3, stop_below=1e-12)
     assert rerun.restarts_used == report.restarts_used
     assert rerun.error == report.error
+
+
+def test_line_seeds_label_every_point_from_their_own_stream():
+    spec = SyntheticSpec(ambient_dim=20, n_subspaces=3, max_dim=2, n_points=90,
+                         noise_sigma=0.01, seed=4)
+    data = generate_synthetic(spec)[0]
+    seeds = [solver._line_seeds(data, 3, 7, r) for r in range(4)]
+    for r, partition in enumerate(seeds):
+        labels = partition.labels
+        assert labels.shape == (90,) and labels.min() >= 0 and labels.max() < 3
+        assert solver._line_seeds(data, 3, 7, r) == partition
+        assert solver._line_seeds(data, 3, 7 + (1 << 64), r) == partition
+    assert len({partition.labels.tobytes() for partition in seeds}) == 4
+
+
+def test_line_seeds_read_the_gram_rows_or_the_points_alike(monkeypatch):
+    """Where ``_reads_gram`` holds (m <= l N) the rows f^T g come from
+    F^T F; the points' own products give the same labels."""
+    spec = SyntheticSpec(ambient_dim=60, n_subspaces=4, max_dim=3, n_points=200,
+                         noise_sigma=0.01, seed=8)
+    data = generate_synthetic(spec)[0]
+    assert solver._reads_gram(data.count, data.ambient_dim, 4)
+    from_gram = [solver._line_seeds(data, 4, seed, r)
+                 for seed in range(3) for r in range(4)]
+    monkeypatch.setattr(solver, "_fit_gram", lambda data, n_subspaces: None)
+    assert [solver._line_seeds(data, 4, seed, r)
+            for seed in range(3) for r in range(4)] == from_gram
+
+
+def test_seeded_solves_end_at_the_noise_floor():
+    """Isotropic noise leaves a union of l k-dimensional subspaces about
+    (N - k) / (N - l k) times the error E_{lk} of the best lk-dimensional
+    subspace; every seeded solve ends within 5% of that."""
+    n, l, k = 60, 4, 3
+    floor = (n - k) / (n - l * k)
+    for seed in range(10):
+        spec = SyntheticSpec(ambient_dim=n, n_subspaces=l, max_dim=k, n_points=300,
+                             noise_sigma=0.01, seed=seed)
+        data = generate_synthetic(spec)[0]
+        report = solve_best_model(data, l, k, restarts=4, seed=seed)
+        assert report.error <= 1.05 * floor * ek_min_error(data.points, l * k)
 
 
 def pin_blas(monkeypatch, threads="1", cores=2):
@@ -896,7 +931,7 @@ def test_gram_is_formed_once_per_solve_and_only_where_groups_fit_in_n(
     assert threaded == [2]
     assert forms == [(600, 240)]
     assert report.error == alternate_minimize(
-        DataSet(tall.points), 3, 2, random_partition(240, 3, 2, report.winner),
+        DataSet(tall.points), 3, 2, solver._line_seeds(tall, 3, 2, report.winner),
         max_iter=3).error
 
 
@@ -906,11 +941,11 @@ def test_threaded_restarts_stop_where_the_sequential_loop_stops(monkeypatch, sto
     # SVD-fit error of restart ``stop_at`` stops the solve there; restart 5
     # sits lower still, so a thread that ran past the stop must be dropped.
     data = DataSet(np.random.default_rng(2).normal(size=(6, 30)))
-    errors = [alternate_minimize(data, 3, 1, random_partition(30, 3, 9, r)).error
+    errors = [alternate_minimize(data, 3, 1, solver._line_seeds(data, 3, 0, r)).error
               for r in range(6)]
     assert errors[0] > errors[1] > errors[2] > errors[5]
     sequential, threaded = solve_sequential_and_threaded(
-        monkeypatch, data, 3, 1, restarts=6, seed=9, stop_below=errors[stop_at]
+        monkeypatch, data, 3, 1, restarts=6, seed=0, stop_below=errors[stop_at]
     )
     assert sequential.restarts_used == stop_at + 1
     assert sequential.error == errors[stop_at]
@@ -924,13 +959,13 @@ def test_threaded_restarts_hand_out_each_index_once(monkeypatch):
     pin_blas(monkeypatch, cores=8)
     monkeypatch.setattr(solver, "PARALLEL_MIN_FLOATS", 0)
     handed = []
-    draw = solver.random_partition
+    draw = solver._line_seeds
 
-    def recorded(count, n_groups, seed, restart=0):
+    def recorded(data, n_groups, seed, restart):
         handed.append(restart)
-        return draw(count, n_groups, seed, restart)
+        return draw(data, n_groups, seed, restart)
 
-    monkeypatch.setattr(solver, "random_partition", recorded)
+    monkeypatch.setattr(solver, "_line_seeds", recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
