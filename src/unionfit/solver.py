@@ -264,6 +264,18 @@ def _group_rows(points, gram, members, k, norms):
     return rows, slack
 
 
+def random_partition(
+    count: int, n_groups: int, seed: int, restart: int = 0
+) -> Partition:
+    """Uniformly random labeling of points, keyed by (seed, restart)."""
+    require_int("count", count, minimum=0, error=OutOfRange)
+    require_int("n_groups", n_groups, minimum=1, error=OutOfRange)
+    require_int("seed", seed, error=OutOfRange)
+    require_int("restart", restart, minimum=0, error=OutOfRange)
+    rng = np.random.default_rng([seed & SEED_MASK, restart])
+    return Partition(rng.integers(0, n_groups, size=count), n_groups)
+
+
 def _line_seeds(data: DataSet, n_groups: int, seed: int, restart: int) -> Partition:
     """Greedy D^2 seeding of l lines, keyed by (seed, restart), and each
     point labeled by its nearest line (k-means++, Arthur & Vassilvitskii

@@ -29,18 +29,11 @@ from unionfit import (
     ek_min_error,
     group_error,
     partition_from_bundle,
+    random_partition,
     solve_best_model,
 )
 from unionfit import fitting, solver
-from unionfit.model import SEED_MASK
 from unionfit.synthetic import SyntheticSpec, generate_synthetic
-
-
-def random_partition(count, n_groups, seed, restart=0):
-    """A uniformly random labeling keyed by (seed, restart): the init of
-    the alternating-minimization cases below."""
-    rng = np.random.default_rng([seed & SEED_MASK, restart])
-    return Partition(rng.integers(0, n_groups, size=count), n_groups)
 
 
 def naive_enumeration(points: np.ndarray, n_groups: int, k: int):
@@ -679,17 +672,24 @@ def test_alternate_minimize_validates_inputs():
 
 
 # Each public solver entry point and the values it takes that SolverConfig
-# also validates, with the values they refuse.
+# also validates (and, for random_partition, its other arguments), with the
+# values they refuse.
 ENTRY_POINTS = {
     "solve_best_model": (lambda data, **bad: solve_best_model(
         data, 2, 1, restarts=3, **{"seed": 1, **bad}), ("seed", "tol", "stop_below")),
     "alternate_minimize": (lambda data, **bad: alternate_minimize(
         data, 2, 1, random_partition(12, 2, 1), **bad), ("tol",)),
+    "random_partition": (lambda data, **bad: random_partition(
+        **{"count": 12, "n_groups": 2, "seed": 1, **bad}),
+        ("seed", "count", "n_groups", "restart")),
 }
 BAD_VALUES = {
     "seed": [1.5, np.float64(1.0), None, True, "1"],
     "tol": [None, math.nan, math.inf, -1e-3, True, "1e-10"],
     "stop_below": ["a", math.nan, math.inf, -math.inf, True],
+    "count": [-1, 1.5, None, True],
+    "n_groups": [0, -1, 1.5, True],
+    "restart": [-1, 1.5, None, True],
 }
 
 
@@ -704,6 +704,12 @@ def test_solver_entry_points_refuse_bad_values(entry, name, value):
     data = DataSet(np.random.default_rng(0).normal(size=(5, 12)))
     with pytest.raises(OutOfRange, match=f"{name} must be"):
         ENTRY_POINTS[entry][0](data, **{name: value})
+
+
+def test_random_partition_takes_the_least_values_it_allows():
+    """No points, one group and restart 0 draw a valid labeling."""
+    assert random_partition(0, 1, 1, 0) == Partition(np.zeros(0, dtype=int), 1)
+    assert random_partition(5, 1, 1).labels.tolist() == [0] * 5
 
 
 def test_alternate_minimize_repairs_empty_groups():
