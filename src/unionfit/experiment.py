@@ -90,15 +90,14 @@ def run_trial(
     reduction: ReductionConfig,
     solver_cfg: SolverConfig,
     sketch_seed: int,
-    certify=None,
 ) -> LiftReport:
     """One sketch/solve/lift trial on unit-Frobenius ``data``.
 
     r and the bound epsilon come from ``reduction`` (fixed r, or the
     closed-form minimum for (eta, delta)) before any solve, and the model
     is checked against the sketch's r before e0 is certified; e0 comes from
-    ``solver_cfg.certify`` (None past the oracle budget), or from
-    ``certify``, called the same way, when one is given.  A derived r of
+    ``solver_cfg.certify`` (None past the oracle budget), which keeps it on
+    ``data``, so trials on one dataset certify it once.  A derived r of
     at least N would sketch by the identity, so the full-space report
     (certified, else one ``solver_cfg.solve``) is lifted as the reduced
     one, and r reads N.
@@ -115,7 +114,7 @@ def run_trial(
     if sketched:
         check_model_dims(n_subspaces, max_dim, data.count, r)
 
-    certified = (certify or solver_cfg.certify)(data, n_subspaces, max_dim)
+    certified = solver_cfg.certify(data, n_subspaces, max_dim)
     e0 = None if certified is None else certified.error
     if not sketched:
         report = certified or solver_cfg.solve(data, n_subspaces, max_dim)
@@ -284,24 +283,11 @@ def _trial_dataset(cfg: ExperimentConfig, trial: int, file_data) -> DataSet:
     return file_data
 
 
-def _certify_once(solver_cfg: SolverConfig):
-    """``solver_cfg.certify`` run on its first call only, whose report every
-    later call returns: every trial of a file experiment certifies the same
-    data, and the oracle reads no seed."""
-    reports = []
-
-    def certify(data: DataSet, n_subspaces: int, max_dim: int):
-        if not reports:
-            reports.append(solver_cfg.certify(data, n_subspaces, max_dim))
-        return reports[0]
-
-    return certify
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured trials; returns rows, summary, and an exit code.
 
-    A file dataset is certified (its ``e0``) once, for every trial.
+    Every trial on a file dataset shares one DataSet, so its ``e0`` is
+    certified once (``DataSet.optima``).
     The exit code is 1 only when a hard internal invariant failed
     (non-finite or inconsistent errors, or a lifted error below e0 or
     above ||F||_F^2, the error of any bundle at 0), never for a violated
@@ -319,7 +305,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             load_dataset(cfg.dataset_file, header=cfg.file_header)
         )
         _check_dims(cfg, file_data.count, file_data.ambient_dim)
-    certify = None if file_data is None else _certify_once(cfg.solver)
 
     rows: list[dict] = []
     per_trial_seconds: list[float] = []
@@ -338,7 +323,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cfg.reduction,
             replace(cfg.solver, seed=derive_seed(cfg.master_seed, trial, 2)),
             sketch_seed=derive_seed(cfg.master_seed, trial, 1),
-            certify=certify,
         )
 
         recomputed = bundle_error(data, report.lifted_bundle)

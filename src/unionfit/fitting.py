@@ -46,9 +46,10 @@ BLOCK_SIN_TOL = 1e-12
 BLOCK_SEED = 0  # the start block's
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentTrace:
-    """Per-point record of a nearest-subspace assignment."""
+    """Per-point record of a nearest-subspace assignment; ``==`` is
+    identity."""
 
     dist2: np.ndarray  # squared distance to the nearest subspace
     tie_flags: np.ndarray  # True where >= 2 subspaces sit within TIE_TOL

@@ -130,22 +130,27 @@ class FitMemo:
         return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSet:
     """m column points in R^N, stored in C order whatever the input's layout
     (so equal points give equal results), with cached norm, rank and Gram
-    matrix, and a memo of group fits (``fits``).
+    matrix, a memo of group fits (``fits``) and one of certified optima
+    (``optima``).
 
     ``fitting.bundle_from_partition`` fits each distinct (k, group) of a
     DataSet once: sketches of one dataset recover the same groups, mostly
-    under other labels, so its later lifts mostly read ``fits``.  The memo
-    lives and dies with the DataSet and never changes a result, since a
-    fit depends only on the points, the group and k.
+    under other labels, so its later lifts mostly read ``fits``.
+    ``SolverConfig.certify`` keeps the oracle's report for each (l, k) in
+    ``optima``, so every trial on one dataset certifies it once.  The memos
+    live and die with the DataSet and never change a result, since a fit
+    depends only on the points, the group and k, and an optimum only on the
+    points, l and k.  ``==`` is identity: compare ``points`` by value.
     """
 
     points: np.ndarray
     frobenius_norm: float = field(init=False)
     fits: FitMemo = field(init=False, repr=False, compare=False)
+    optima: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, order="C")
@@ -161,6 +166,7 @@ class DataSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "frobenius_norm", _frobenius_norm(pts))
         object.__setattr__(self, "fits", FitMemo())
+        object.__setattr__(self, "optima", {})
 
     @cached_property
     def numerical_rank(self) -> int:
@@ -192,12 +198,13 @@ class DataSet:
         return self.points[:, np.asarray(list(indices), dtype=int)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace stored as an orthonormal basis (N x t, t may be 0).
 
     A basis with zero columns encodes the zero subspace {0}, so the
-    distance to {0} (the plain squared norm) stays expressible.
+    distance to {0} (the plain squared norm) stays expressible.  ``==`` is
+    identity: compare ``basis`` by value, or projectors for the subspace.
     """
 
     basis: np.ndarray

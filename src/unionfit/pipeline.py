@@ -80,10 +80,16 @@ class SolverConfig:
         self, data: DataSet, n_subspaces: int, max_dim: int
     ) -> SolveReport | None:
         """The oracle's certified optimum when l^m fits ``oracle_budget``,
-        else None: the one rule for when a space is solved exactly."""
+        else None: the one rule for when a space is solved exactly.  The
+        report is kept in ``data.optima``, so a dataset is certified once
+        for each (l, k); concurrent callers get the first report stored."""
         if not within_budget(n_subspaces, data.count, self.oracle_budget):
             return None
-        return brute_force_oracle(data, n_subspaces, max_dim, budget=self.oracle_budget)
+        key = (n_subspaces, max_dim)
+        if key not in data.optima:
+            report = brute_force_oracle(data, n_subspaces, max_dim, budget=self.oracle_budget)
+            data.optima.setdefault(key, report)
+        return data.optima[key]
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,28 @@ def test_file_experiment_certifies_its_data_once(tmp_path, monkeypatch):
     assert rows_to_csv_text(result.rows) == rows_to_csv_text(expected)
 
 
+def test_trials_on_one_dataset_certify_it_once(monkeypatch):
+    """run_trial certifies through SolverConfig.certify, which keeps e0 on
+    the DataSet: three trials on one dataset, each with its own seeds, run
+    the full-space oracle once, and each sketch's oracle once per trial."""
+    import unionfit.pipeline as pipe
+
+    real = pipe.brute_force_oracle
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].ambient_dim)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipe, "brute_force_oracle", counted)
+    cfg = small_config()
+    data = normalize_dataset(DataSet(np.random.default_rng(6).normal(size=(6, 7))))
+    reports = [run_trial(data, 2, 1, cfg.reduction, replace(cfg.solver, seed=trial),
+                         sketch_seed=trial) for trial in range(3)]
+    assert runs.count(6) == 1 and runs.count(3) == 3
+    assert len({report.e0 for report in reports}) == 1
+
+
 def test_path_config_writes_the_summary_of_its_str_twin(tmp_path):
     """pathlib.Path values for the dataset and the outputs are echoed as
     strings, and the summary is that of the same paths given as str,

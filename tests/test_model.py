@@ -290,3 +290,58 @@ def test_optimal_partition_is_scale_invariant():
         )
         found += 1
     assert found == 8
+
+
+def _public_dataclass(name):
+    """A fresh instance of the public dataclass ``name``: two calls build
+    distinct objects from equal points, so array fields hold distinct but
+    equal arrays."""
+    import unionfit as uf
+
+    points = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8], [0.0, 0.0, 0.0]])
+    data = DataSet(points)
+    line = Subspace(np.eye(3)[:, :1])
+    bundle = Bundle((line, Subspace(np.eye(3)[:, 1:2])), 1)
+    spec = uf.SyntheticSpec(ambient_dim=4, n_subspaces=2, max_dim=1, n_points=5, seed=1)
+    raw = {"dataset": {"synthetic": {"ambient_dim": 4, "n_subspaces": 2, "max_dim": 1,
+                                     "n_points": 5}},
+           "reduction": {"r": 3, "epsilon": 0.5}, "trials": 1}
+    unit = normalize_dataset(data)
+    return {
+        "AssignmentTrace": lambda: uf.partition_from_bundle(data, bundle)[1],
+        "Bundle": lambda: bundle,
+        "ConcentrationReport": lambda: uf.ConcentrationReport(0.5, 10, 1, 0.1, 0.2),
+        "DataSet": lambda: data,
+        "ExperimentConfig": lambda: uf.config_from_dict(raw),
+        "ExperimentResult": lambda: uf.ExperimentResult([{"e0": 0.5}], {}, 0),
+        "GroundTruth": lambda: uf.generate_synthetic(spec)[1],
+        "LiftReport": lambda: uf.run_trial(unit, 2, 1, uf.ReductionConfig(r=2),
+                                           uf.SolverConfig(), sketch_seed=1),
+        "Partition": lambda: Partition([0, 1, 1], 2),
+        "RandomSpec": lambda: uf.RandomSpec("gaussian", 2, 3),
+        "ReductionConfig": lambda: uf.ReductionConfig(r=2),
+        "SolveReport": lambda: brute_force_oracle(data, 2, 1),
+        "SolverConfig": lambda: uf.SolverConfig(),
+        "Subspace": lambda: line,
+        "SyntheticSpec": lambda: spec,
+    }[name]()
+
+
+def test_equality_of_every_public_dataclass_is_a_bool():
+    """``==`` never raises on the library's types, whose array fields would
+    make a field-by-field comparison ambiguous: it is identity for
+    DataSet, Subspace and AssignmentTrace, value comparison of the labels
+    for Partition, and field by field for the rest."""
+    import dataclasses
+
+    import unionfit as uf
+
+    names = [n for n in uf.__all__ if dataclasses.is_dataclass(getattr(uf, n))]
+    assert "AssignmentTrace" in names and "LiftReport" in names
+    for name in names:
+        one, two = _public_dataclass(name), _public_dataclass(name)
+        assert type(one) is getattr(uf, name)
+        assert one == one and one in [one], name
+        assert type(one == two) is bool, name
+        assert type(one != two) is bool, name
+        assert isinstance(one in [two], bool), name

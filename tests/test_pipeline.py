@@ -1,6 +1,7 @@
 import math
+import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,80 @@ def test_lifted_error_never_below_certified_optimum():
     spec = RandomSpec("bernoulli", reduced_dim=4, ambient_dim=10, seed=8)
     report = reduce_solve_lift(data, spec, 2, 1, epsilon=0.5, e0=e0)
     assert report.lifted_error >= e0 - 1e-9
+
+
+@pytest.fixture
+def oracle_runs(monkeypatch):
+    """The (l, k) of every oracle that SolverConfig.certify runs."""
+    real = pipeline.brute_force_oracle
+    runs = []
+
+    def counted(data, n_subspaces, max_dim, **kwargs):
+        runs.append((n_subspaces, max_dim))
+        return real(data, n_subspaces, max_dim, **kwargs)
+
+    monkeypatch.setattr(pipeline, "brute_force_oracle", counted)
+    return runs
+
+
+def test_certify_keeps_one_report_per_dataset(oracle_runs):
+    """Two certify calls on one DataSet run the oracle once and return the
+    same report; a new DataSet of the same points runs it again and gets
+    an equal one."""
+    data = normalize_dataset(DataSet(np.random.default_rng(42).normal(size=(5, 8))))
+    cfg = SolverConfig()
+    first = cfg.certify(data, 2, 1)
+    assert cfg.certify(data, 2, 1) is first
+    assert replace(cfg, seed=1).certify(data, 2, 1) is first  # the oracle reads no seed
+    assert oracle_runs == [(2, 1)]
+    assert data.optima == {(2, 1): first}
+    again = cfg.certify(DataSet(data.points), 2, 1)
+    assert oracle_runs == [(2, 1), (2, 1)]
+    assert again is not first and again.error == first.error
+    assert np.array_equal(again.partition.labels, first.partition.labels)
+
+
+def test_threads_that_certify_one_dataset_get_the_first_report():
+    """Threads that miss one (l, k) together may each run the oracle, but
+    every one of them returns the report stored first."""
+    data = normalize_dataset(DataSet(np.random.default_rng(45).normal(size=(5, 8))))
+    barrier = threading.Barrier(4)
+    got = []
+
+    def certify():
+        barrier.wait(timeout=30)
+        got.append(SolverConfig().certify(data, 2, 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=certify) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(report is data.optima[(2, 1)] for report in got)
+
+
+def test_certify_past_the_budget_stores_nothing(oracle_runs):
+    """One labeling short of l^m, certify returns None, runs no oracle and
+    leaves ``optima`` empty."""
+    data = normalize_dataset(DataSet(np.random.default_rng(43).normal(size=(5, 8))))
+    assert SolverConfig(oracle_budget=2**8 - 1).certify(data, 2, 1) is None
+    assert oracle_runs == [] and data.optima == {}
+
+
+def test_certify_keys_each_model_apart(oracle_runs):
+    """(l, k) = (2, 1) and (2, 0) are separate optima of one dataset."""
+    data = normalize_dataset(DataSet(np.random.default_rng(44).normal(size=(5, 8))))
+    cfg = SolverConfig()
+    line, zero = cfg.certify(data, 2, 1), cfg.certify(data, 2, 0)
+    assert cfg.certify(data, 2, 1) is line and cfg.certify(data, 2, 0) is zero
+    assert oracle_runs == [(2, 1), (2, 0)]
+    assert zero.error == pytest.approx(1.0) and line.error < zero.error  # k = 0 fits 0
 
 
 def test_sampled_matrix_matches_spec_shape():
